@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from . import qp
 from .errors import InfeasibleError, InputError
-from .network import GridModel, PtdfMatrices, dlr_base_mw, gen_arrays, nlr_limits
+from .network import GridModel, PtdfMatrices, dlr_base_mw, flow_operators, gen_arrays, nlr_limits
 from .uncertainty import (
     EllipsoidSet,
     RatingForecast,
@@ -172,12 +172,7 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
 
     ga = gen_arrays(grid)
     n = grid.n_gens
-    m_inc = grid.gen_incidence()
-    load = grid.load_vector()
-    hd_m = ptdf.h_dlr @ m_inc
-    hn_m = ptdf.h_nlr @ m_inc
-    fd0 = ptdf.h_dlr @ load
-    fn0 = ptdf.h_nlr @ load
+    ops = flow_operators(grid, ptdf)
     n_lim = nlr_limits(grid, ptdf)
 
     lay = qp.VariableLayout()
@@ -204,50 +199,22 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     lb[s_p], ub[s_p] = ga.p_min, ga.p_max
     ub[s_up], ub[s_dn] = ga.res_up_max, ga.res_dn_max
 
-    # equalities: power balance and zero column sums of D = D_up - D_dn
-    a_bal = sp.lil_matrix((1, nx))
-    a_bal[0, s_p] = 1.0
-    a_cols = sp.lil_matrix((k, nx))
-    for j in range(k):
-        idx = np.arange(n) * k + j
-        a_cols[j, s_dup.start + idx] = 1.0
-        a_cols[j, s_ddn.start + idx] = -1.0
-    a_eq = sp.vstack([a_bal, a_cols], format="csr")
-    b_eq = np.concatenate([[grid.total_load], np.zeros(k)])
-
-    g_blocks, h_blocks = [], []
-
-    def add(pairs, rhs):
-        blk = sp.lil_matrix((rhs.size, nx))
-        for sl, mv in pairs:
-            blk[:, sl] = mv
-        g_blocks.append(blk.tocsr())
-        h_blocks.append(rhs)
-
+    a_eq, b_eq = _equalities(lay, s_p, s_dup, s_ddn, grid.total_load, k)
+    blocks = []
     eye_n = np.eye(n)
     for v in range(n_pts):
         u = deficits[v]
         if u.max() > 0.0:
             mix = np.kron(eye_n, u[None, :])         # rows: (D u)_g
-            add([(s_dup, mix), (s_ddn, -mix), (s_up, -eye_n)], np.zeros(n))
-            add([(s_dup, -mix), (s_ddn, mix), (s_dn, -eye_n)], np.zeros(n))
-            shift_d = np.kron(hd_m, u[None, :])      # rows: DLR flow change
-            shift_n = np.kron(hn_m, u[None, :])
-        else:
-            shift_d = np.zeros((k, n * k))
-            shift_n = np.zeros((n_lim.size, n * k))
-        add([(s_p, hd_m), (s_dup, shift_d), (s_ddn, -shift_d)], delta_mw[v] + fd0)
-        add([(s_p, -hd_m), (s_dup, -shift_d), (s_ddn, shift_d)], delta_mw[v] - fd0)
-        add([(s_p, hn_m), (s_dup, shift_n), (s_ddn, -shift_n)], n_lim + fn0)
-        add([(s_p, -hn_m), (s_dup, -shift_n), (s_ddn, shift_n)], n_lim - fn0)
+            blocks.append((lay.rows((s_dup, mix), (s_ddn, -mix), (s_up, -eye_n)), np.zeros(n)))
+            blocks.append((lay.rows((s_dup, -mix), (s_ddn, mix), (s_dn, -eye_n)), np.zeros(n)))
+        blocks += _flow_bands(lay, s_p, s_dup, s_ddn, ops, n_lim, delta_mw[v], u)
 
-    sol = qp.solve(qp.ConvexProgram(
-        c=c, q=q, a_eq=a_eq, b_eq=b_eq,
-        g_ineq=sp.vstack(g_blocks, format="csr"), h_ineq=np.concatenate(h_blocks),
-        lb=lb, ub=ub,
-    ))
+    g, h = qp.stack(blocks)
+    sol = qp.solve(qp.ConvexProgram(c=c, q=q, a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
+                                    lb=lb, ub=ub))
     if sol.status is qp.SolveStatus.INFEASIBLE:
-        lines = _binding_lines(grid, ptdf, delta_mw, deficits)
+        lines = _binding_lines(grid, ptdf, ops, delta_mw, deficits)
         raise InfeasibleError(
             f"no affine policy can guarantee y={y.tolist()} MW"
             + (f"; binding lines: {lines}" if lines else ""), lines=lines)
@@ -282,71 +249,53 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     )
 
 
-def _binding_lines(grid, ptdf, delta_mw, deficits):
-    """Lines that stay overloaded at the violation-minimizing policy."""
+def _equalities(lay, s_p, s_dup, s_ddn, total_load, k):
+    """Power balance and zero column sums of D = D_up - D_dn."""
+    n = s_p.stop - s_p.start
+    cols = np.kron(np.ones(n), np.eye(k))       # row j sums D[:, j]
+    a_eq = sp.vstack([lay.rows((s_p, np.ones(n))), lay.rows((s_dup, cols), (s_ddn, -cols))],
+                     format="csr")
+    return a_eq, np.concatenate([[total_load], np.zeros(k)])
+
+
+def _flow_bands(lay, s_p, s_dup, s_ddn, ops, n_lim, delta_mw, u):
+    """DLR and NLR flow limits at one enforcement point: the schedule plus
+    the policy's action for that point's deficits ``u``."""
+    hd_m, hn_m, fd0, fn0 = ops
+    shift_d = np.kron(hd_m, u[None, :])          # rows: DLR flow change
+    shift_n = np.kron(hn_m, u[None, :])
+    return [lay.band([(s_p, hd_m), (s_dup, shift_d), (s_ddn, -shift_d)], -fd0, delta_mw),
+            lay.band([(s_p, hn_m), (s_dup, shift_n), (s_ddn, -shift_n)], -fn0, n_lim)]
+
+
+def _binding_lines(grid, ptdf, ops, delta_mw, deficits):
+    """Lines that stay overloaded at the violation-minimizing policy,
+    with the reserve envelope left out."""
     ga = gen_arrays(grid)
     n = grid.n_gens
     k = delta_mw.shape[1]
-    m_inc = grid.gen_incidence()
-    load = grid.load_vector()
-    hd_m = ptdf.h_dlr @ m_inc
-    hn_m = ptdf.h_nlr @ m_inc
-    fd0 = ptdf.h_dlr @ load
-    fn0 = ptdf.h_nlr @ load
     n_lim = nlr_limits(grid, ptdf)
-    n_lines = k + n_lim.size
 
     lay = qp.VariableLayout()
     s_p = lay.add("p", n)
     s_dup = lay.add("D_up", n * k)
     s_ddn = lay.add("D_dn", n * k)
-    s_sl = lay.add("slack", n_lines)
-    nx = lay.size
-    c = np.zeros(nx)
-    c[s_sl] = 1.0
-    lb = np.zeros(nx)
-    ub = np.full(nx, np.inf)
+    lb = np.zeros(lay.size)
+    ub = np.full(lay.size, np.inf)
     lb[s_p], ub[s_p] = ga.p_min, ga.p_max
-
-    a_bal = sp.lil_matrix((1 + k, nx))
-    a_bal[0, s_p] = 1.0
-    for j in range(k):
-        idx = np.arange(n) * k + j
-        a_bal[1 + j, s_dup.start + idx] = 1.0
-        a_bal[1 + j, s_ddn.start + idx] = -1.0
-    b_eq = np.concatenate([[grid.total_load], np.zeros(k)])
-
-    g_blocks, h_blocks = [], []
-    sl_d = np.hstack([np.eye(k), np.zeros((k, n_lim.size))])
-    sl_n = np.hstack([np.zeros((n_lim.size, k)), np.eye(n_lim.size)])
-    for v in range(delta_mw.shape[0]):
-        u = deficits[v]
-        shift_d = np.kron(hd_m, u[None, :])
-        shift_n = np.kron(hn_m, u[None, :])
-        for sgn in (1.0, -1.0):
-            blk = sp.lil_matrix((k, nx))
-            blk[:, s_p] = sgn * hd_m
-            blk[:, s_dup] = sgn * shift_d
-            blk[:, s_ddn] = -sgn * shift_d
-            blk[:, s_sl] = -sl_d
-            g_blocks.append(blk.tocsr())
-            h_blocks.append(delta_mw[v] + sgn * fd0)
-            blk = sp.lil_matrix((n_lim.size, nx))
-            blk[:, s_p] = sgn * hn_m
-            blk[:, s_dup] = sgn * shift_n
-            blk[:, s_ddn] = -sgn * shift_n
-            blk[:, s_sl] = -sl_n
-            g_blocks.append(blk.tocsr())
-            h_blocks.append(n_lim + sgn * fn0)
-    sol = qp.solve(qp.ConvexProgram(
-        c=c, a_eq=a_bal.tocsr(), b_eq=b_eq,
-        g_ineq=sp.vstack(g_blocks, format="csr"), h_ineq=np.concatenate(h_blocks),
-        lb=lb, ub=ub,
-    ))
-    if not sol.optimal:
+    a_eq, b_eq = _equalities(lay, s_p, s_dup, s_ddn, grid.total_load, k)
+    g, h = qp.stack([blk for point, u in zip(delta_mw, deficits)
+                     for blk in _flow_bands(lay, s_p, s_dup, s_ddn, ops, n_lim, point, u)])
+    # one slack per line over both sides of its band, at every point
+    per_point = np.concatenate([np.tile(np.arange(k), 2), k + np.tile(np.arange(n_lim.size), 2)])
+    slack = qp.min_violation(
+        qp.ConvexProgram(c=np.zeros(lay.size), a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
+                         lb=lb, ub=ub),
+        np.tile(per_point, len(delta_mw)))
+    if slack is None:
         return []
     ids = list(ptdf.dlr_line_index) + list(ptdf.nlr_line_index)
-    return [ids[i] for i in np.flatnonzero(sol.x[s_sl] > 1e-6)]
+    return [ids[i] for i in np.flatnonzero(slack > 1e-6)]
 
 
 def select_y(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,

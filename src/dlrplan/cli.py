@@ -5,7 +5,8 @@ database.  Outputs are byte-reproducible from the same inputs and seed.
 
 Exit codes: 0 success, 2 infeasible optimization, 3 input error,
 4 numerical failure.  DLRPLAN_THREADS caps the linear-algebra thread
-count (the only environment variable honored).
+count of the CLI's own process (the only environment variable
+honored); ``main`` sets it before numpy loads.
 """
 
 from __future__ import annotations

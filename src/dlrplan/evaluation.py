@@ -17,7 +17,7 @@ import numpy as np
 from . import affine_policy as ap
 from . import robust_dispatch as rd
 from .errors import InfeasibleError, InputError, UncoveredRealizationError
-from .network import GridModel, PtdfMatrices, dlr_base_mw, gen_arrays, nlr_limits
+from .network import GridModel, PtdfMatrices, dlr_base_mw, flow_operators, gen_arrays, nlr_limits
 from .uncertainty import (
     EllipsoidSet,
     PolytopeSet,
@@ -135,12 +135,9 @@ def _eval_approach_two(cfg: ScenarioConfig, pp: ap.PolicyProcurement,
     cost_coef = pol.d_up.T @ ga.act_up + pol.d_dn.T @ ga.act_dn
     costs = deficits @ cost_coef
 
-    m_inc = grid.gen_incidence()
-    load = grid.load_vector()
-    hd_m = ptdf.h_dlr @ m_inc
-    hn_m = ptdf.h_nlr @ m_inc
-    f_d0 = hd_m @ pp.p_gen - ptdf.h_dlr @ load
-    f_n0 = hn_m @ pp.p_gen - ptdf.h_nlr @ load
+    hd_m, hn_m, fd0, fn0 = flow_operators(grid, ptdf)
+    f_d0 = hd_m @ pp.p_gen - fd0
+    f_n0 = hn_m @ pp.p_gen - fn0
     actions = deficits @ pol.d.T                      # samples x gens
     flows_d = f_d0[None, :] + deficits @ (hd_m @ pol.d).T
     flows_n = f_n0[None, :] + deficits @ (hn_m @ pol.d).T

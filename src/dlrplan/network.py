@@ -246,6 +246,14 @@ def gen_arrays(grid: GridModel) -> GenArrays:
     )
 
 
+def flow_operators(grid: GridModel, ptdf: PtdfMatrices):
+    """(H_dlr M, H_nlr M, H_dlr load, H_nlr load) for the flows H (M p - load)
+    of a dispatch p, where M maps generators to buses."""
+    m = grid.gen_incidence()
+    load = grid.load_vector()
+    return ptdf.h_dlr @ m, ptdf.h_nlr @ m, ptdf.h_dlr @ load, ptdf.h_nlr @ load
+
+
 def nlr_limits(grid: GridModel, ptdf: PtdfMatrices) -> np.ndarray:
     """Static limits (MW) for the non-DLR rows, aligned with ptdf.h_nlr."""
     by_id = {ln.id: ln for ln in grid.lines}

@@ -13,6 +13,11 @@ Linear programs are the Q = 0 special case.  The KKT systems of
 programs with n <= DENSE_MAX_N (400) variables are factored densely
 with LAPACK; larger programs stay on sparse matrices and SuperLU.
 
+``VariableLayout`` names the variable blocks of a program and builds
+its constraint rows over them.  ``min_violation`` is the elastic LP
+behind the diagnoses: it finds which groups of rows (for instance the
+rows of one line) an infeasible program cannot satisfy.
+
 Infeasibility is certified with a phase-1 relaxation: minimize the
 uniform constraint violation t subject to Gx <= h + t; the problem is
 declared infeasible when the optimal t exceeds PHASE1_TOL (constraint
@@ -50,7 +55,8 @@ class VariableLayout:
     """Named contiguous variable blocks for assembling programs.
 
     Keeps column offsets in one place so constraint builders cannot
-    disagree about where a block lives.
+    disagree about where a block lives, and builds constraint rows over
+    those blocks.
     """
 
     def __init__(self):
@@ -65,12 +71,42 @@ class VariableLayout:
         self._size += size
         return s
 
-    def sl(self, name: str) -> slice:
-        return self._slices[name]
-
     @property
     def size(self) -> int:
         return self._size
+
+    def rows(self, *terms) -> sp.csr_matrix:
+        """CSR rows from ``(block slice, matrix)`` terms over disjoint blocks.
+
+        Each matrix fills its block's columns (a 1-D array is one row, a
+        scalar one row of one column); the other columns are zero.  Exact
+        zeros, -0.0 included, are not stored.
+        """
+        mats = [np.atleast_2d(np.asarray(m, dtype=float)) for _, m in terms]
+        n_rows = mats[0].shape[0]
+        r_parts, c_parts, v_parts = [], [], []
+        for (sl, _), m in zip(terms, mats):
+            if m.shape != (n_rows, sl.stop - sl.start):
+                raise ValueError(f"term shape {m.shape} does not fit {n_rows} rows over {sl}")
+            r, c = np.nonzero(m)
+            r_parts.append(r)
+            c_parts.append(c + sl.start)
+            v_parts.append(m[r, c])
+        return sp.coo_matrix(
+            (np.concatenate(v_parts), (np.concatenate(r_parts), np.concatenate(c_parts))),
+            shape=(n_rows, self._size)).tocsr()
+
+    def band(self, terms, offset: np.ndarray, limit: np.ndarray):
+        """Rows and rhs of ``|offset + sum M x| <= limit`` over ``terms``:
+        ``[G, -G] x <= [limit - offset, limit + offset]``."""
+        g = self.rows(*terms)
+        return sp.vstack([g, -g], format="csr"), np.concatenate([limit - offset, limit + offset])
+
+
+def stack(blocks) -> tuple[sp.csr_matrix, np.ndarray]:
+    """One inequality matrix and rhs from ``(rows, rhs)`` blocks, in order."""
+    mats, rhs = zip(*blocks)
+    return sp.vstack(mats, format="csr"), np.concatenate(rhs)
 
 
 @dataclass(frozen=True)
@@ -136,7 +172,6 @@ class Solution:
     status: SolveStatus
     x: np.ndarray | None = None
     objective: float | None = None
-    ineq_duals: np.ndarray | None = None
     iterations: int = 0
 
     @property
@@ -183,11 +218,9 @@ def solve(program: ConvexProgram, tol: float = 1e-9, max_iter: int = 100) -> Sol
     g = sp.vstack(g_parts, format="csr") if g_parts else sp.csr_matrix((0, n))
     h = np.concatenate(h_parts) if h_parts else np.zeros(0)
 
-    n_user_ineq = program.g_ineq.shape[0] if program.g_ineq is not None else 0
-
     # Row equilibration keeps residual tolerances meaningful across blocks.
-    g, h, g_scale = _scale_rows(g, h)
-    a, b, _ = _scale_rows(a, b)
+    g, h = _scale_rows(g, h)
+    a, b = _scale_rows(a, b)
 
     if a.shape[0]:
         x_eq, eq_ok = _least_squares(a, b)
@@ -201,7 +234,7 @@ def solve(program: ConvexProgram, tol: float = 1e-9, max_iter: int = 100) -> Sol
 
     res = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=max_iter)
     if res.status is SolveStatus.OPTIMAL or res.status is SolveStatus.UNBOUNDED:
-        return _finalize(res, program, g_scale, n_user_ineq)
+        return _finalize(res, program)
 
     # Main solve did not converge: certify feasibility before blaming numerics.
     t_star = _phase1(a, b, g, h, x_eq, max_iter=max_iter)
@@ -213,35 +246,56 @@ def solve(program: ConvexProgram, tol: float = 1e-9, max_iter: int = 100) -> Sol
         return Solution(SolveStatus.UNBOUNDED, iterations=res.iterations)
     retry = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=2 * max_iter, reg=1e-9)
     if retry.status is SolveStatus.OPTIMAL or retry.status is SolveStatus.UNBOUNDED:
-        return _finalize(retry, program, g_scale, n_user_ineq)
+        return _finalize(retry, program)
     return Solution(SolveStatus.NUMERICAL_FAILURE, iterations=retry.iterations)
+
+
+def min_violation(program: ConvexProgram, groups) -> np.ndarray | None:
+    """Least total violation of a program's inequality rows, by group.
+
+    ``groups[r]`` is the group (0, 1, ...) of inequality row ``r``; one
+    nonnegative slack per group relaxes every row of its group, and the
+    LP minimizes the sum of the slacks.  Bounds and equalities stay hard.
+    Returns the slack per group, or None when that LP does not solve.
+    """
+    groups = np.asarray(groups, dtype=int)
+    n, m, k = program.n, groups.size, int(groups.max()) + 1
+    relax = sp.csr_matrix((-np.ones(m), (np.arange(m), groups)), shape=(m, k))
+    a_eq = program.a_eq
+    if a_eq is not None:
+        a_eq = sp.hstack([a_eq, sp.csr_matrix((a_eq.shape[0], k))], format="csr")
+    lb = program.lb if program.lb is not None else np.full(n, -np.inf)
+    ub = program.ub if program.ub is not None else np.full(n, np.inf)
+    sol = solve(ConvexProgram(
+        c=np.concatenate([np.zeros(n), np.ones(k)]),
+        a_eq=a_eq, b_eq=program.b_eq,
+        g_ineq=sp.hstack([program.g_ineq, relax], format="csr"), h_ineq=program.h_ineq,
+        lb=np.concatenate([lb, np.zeros(k)]), ub=np.concatenate([ub, np.full(k, np.inf)]),
+    ))
+    return sol.x[n:] if sol.optimal else None
 
 
 @dataclass
 class _IpmResult:
     status: SolveStatus
     x: np.ndarray | None = None
-    z: np.ndarray | None = None
     iterations: int = 0
 
 
-def _finalize(res: _IpmResult, program: ConvexProgram, g_scale: np.ndarray, n_user_ineq: int) -> Solution:
+def _finalize(res: _IpmResult, program: ConvexProgram) -> Solution:
     if res.status is not SolveStatus.OPTIMAL:
         return Solution(res.status, iterations=res.iterations)
     x = res.x
     obj = float(0.5 * x @ (program.q @ x) + program.c @ x) if program.q is not None else float(program.c @ x)
-    duals = None
-    if n_user_ineq and res.z is not None:
-        duals = res.z[:n_user_ineq] * g_scale[:n_user_ineq]
-    return Solution(SolveStatus.OPTIMAL, x=x, objective=obj, ineq_duals=duals, iterations=res.iterations)
+    return Solution(SolveStatus.OPTIMAL, x=x, objective=obj, iterations=res.iterations)
 
 
 def _scale_rows(m: sp.csr_matrix, rhs: np.ndarray):
     if m.shape[0] == 0:
-        return m, rhs, np.ones(0)
+        return m, rhs
     norms = np.maximum(abs(m).max(axis=1).toarray().ravel(), 1e-12)
     d = sp.diags(1.0 / norms)
-    return (d @ m).tocsr(), rhs / norms, 1.0 / norms
+    return (d @ m).tocsr(), rhs / norms
 
 
 def _least_squares(a: sp.csr_matrix, b: np.ndarray):
@@ -274,7 +328,7 @@ def _solve_equality_qp(q, c, a, b, x_eq) -> Solution:
     if me and np.linalg.norm(a @ x - b, np.inf) > 1e-6 * (1.0 + np.linalg.norm(b, np.inf)):
         return Solution(SolveStatus.INFEASIBLE)
     obj = float(0.5 * x @ (q @ x) + c @ x)
-    return Solution(SolveStatus.OPTIMAL, x=x, objective=obj, ineq_duals=np.zeros(0))
+    return Solution(SolveStatus.OPTIMAL, x=x, objective=obj)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -347,8 +401,7 @@ def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, reg: float = _REG) -> 
 
     def _accept_best(iterations):
         if best is not None and best_err <= 1.0:
-            bx, bz = best
-            return _IpmResult(SolveStatus.OPTIMAL, x=bx, z=bz, iterations=iterations)
+            return _IpmResult(SolveStatus.OPTIMAL, x=best, iterations=iterations)
         return _IpmResult(SolveStatus.NUMERICAL_FAILURE, iterations=iterations)
 
     for it in range(1, max_iter + 1):
@@ -366,9 +419,9 @@ def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, reg: float = _REG) -> 
         err = max(p_res / 1e-7, d_res / 1e-6, gap / 1e-6)
         if err < best_err:
             best_err = err
-            best = (x.copy(), z.copy())
+            best = x.copy()
         if p_res <= tol * 10 and d_res <= tol * 10 and mu <= tol * (1.0 + abs(obj)):
-            return _IpmResult(SolveStatus.OPTIMAL, x=x, z=z, iterations=it)
+            return _IpmResult(SolveStatus.OPTIMAL, x=x, iterations=it)
         if np.linalg.norm(x, np.inf) > _HUGE:
             if p_res <= 1e-6:
                 return _IpmResult(SolveStatus.UNBOUNDED, iterations=it)

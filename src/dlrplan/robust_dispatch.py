@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from . import qp
 from .errors import InfeasibleError, InputError, UncoveredRealizationError
-from .network import GridModel, PtdfMatrices, dlr_base_mw, gen_arrays, nlr_limits
+from .network import GridModel, PtdfMatrices, dlr_base_mw, flow_operators, gen_arrays, nlr_limits
 from .uncertainty import PolytopeSet
 
 # Deterministic preference for the lowest-index provider among equals.
@@ -58,14 +58,6 @@ class RedispatchAction:
         return self.delta_plus + self.delta_minus
 
 
-def _flow_operators(grid: GridModel, ptdf: PtdfMatrices):
-    """(H_dlr M, H_nlr M, load-induced flows) for injection p - load."""
-    m = grid.gen_incidence()
-    load = grid.load_vector()
-    return (ptdf.h_dlr @ m, ptdf.h_nlr @ m,
-            ptdf.h_dlr @ load, ptdf.h_nlr @ load)
-
-
 def _check_alignment(grid: GridModel, ptdf: PtdfMatrices, line_ids):
     if line_ids is not None and tuple(line_ids) != ptdf.dlr_line_index:
         raise InputError(
@@ -81,16 +73,16 @@ def dc_opf(grid: GridModel, ptdf: PtdfMatrices,
     """
     ga = gen_arrays(grid)
     n = grid.n_gens
-    hd, hn, fd0, fn0 = _flow_operators(grid, ptdf)
+    hd, hn, fd0, fn0 = flow_operators(grid, ptdf)
     d_lim = np.asarray(dlr_limits_mw, dtype=float) if dlr_limits_mw is not None \
         else dlr_base_mw(grid, ptdf)
-    n_lim = nlr_limits(grid, ptdf)
-
-    g = np.vstack([hd, -hd, hn, -hn])
-    h = np.concatenate([d_lim + fd0, d_lim - fd0, n_lim + fn0, n_lim - fn0])
+    lay = qp.VariableLayout()
+    s_p = lay.add("p", n)
+    g, h = qp.stack([lay.band([(s_p, hd)], -fd0, d_lim),
+                     lay.band([(s_p, hn)], -fn0, nlr_limits(grid, ptdf))])
     sol = qp.solve(qp.ConvexProgram(
         c=ga.cost_linear, q=2.0 * np.diag(ga.cost_quad),
-        a_eq=np.ones((1, n)), b_eq=[grid.total_load],
+        a_eq=lay.rows((s_p, np.ones(n))), b_eq=[grid.total_load],
         g_ineq=g, h_ineq=h, lb=ga.p_min, ub=ga.p_max,
     ))
     if sol.status is qp.SolveStatus.INFEASIBLE:
@@ -119,95 +111,13 @@ def procure_vertex_robust(grid: GridModel, ptdf: PtdfMatrices, w: PolytopeSet,
         raise InputError(f"uncertainty set dimension {w.dim} != DLR line count {k}")
 
     ga = gen_arrays(grid)
-    n = grid.n_gens
     base = dlr_base_mw(grid, ptdf)
     verts_mw = np.atleast_2d(w.vertices) * base[None, :]
-    n_v = verts_mw.shape[0]
-    hd, hn, fd0, fn0 = _flow_operators(grid, ptdf)
-    n_lim = nlr_limits(grid, ptdf)
-
-    lay = qp.VariableLayout()
-    s_p = lay.add("p", n)
-    s_up = lay.add("d_up", n)
-    s_dn = lay.add("d_dn", n)
-    s_v = [(lay.add(f"v_up{i}", n), lay.add(f"v_dn{i}", n)) for i in range(n_v)]
-    s_wc = lay.add("c_wc", 1) if alpha > 0 else None
-    nx = lay.size
-
-    tie = _TIE_EPS * np.arange(1, n + 1)
-    c = np.zeros(nx)
-    c[s_p] = ga.cost_linear
-    c[s_up] = ga.price_up + tie
-    c[s_dn] = ga.price_dn + tie
-    # vanishing activation cost: slack vertices get the zero action, binding
-    # ones the cheapest covering action, without disturbing the optimum
-    for sv_up, sv_dn in s_v:
-        c[sv_up] = 1e-6 * ga.act_up
-        c[sv_dn] = 1e-6 * ga.act_dn
-    if s_wc is not None:
-        c[s_wc] = alpha
-    q_diag = np.zeros(nx)
-    q_diag[s_p] = 2.0 * ga.cost_quad
-    q = sp.diags(q_diag)
-
-    lb = np.full(nx, 0.0)
-    ub = np.full(nx, np.inf)
-    lb[s_p], ub[s_p] = ga.p_min, ga.p_max
-    ub[s_up], ub[s_dn] = ga.res_up_max, ga.res_dn_max
-
-    ones = np.ones((1, n))
-    a_rows = [sp.csr_matrix((np.ones(n), (np.zeros(n, int), np.arange(s_p.start, s_p.stop))),
-                            shape=(1, nx))]
-    b_rows = [grid.total_load]
-    for i in range(n_v):
-        row = sp.lil_matrix((1, nx))
-        row[0, s_v[i][0]] = 1.0
-        row[0, s_v[i][1]] = -1.0
-        a_rows.append(row.tocsr())
-        b_rows.append(0.0)
-
-    g_blocks, h_blocks = [], []
-
-    def add_rows(cols_vals, rhs: np.ndarray):
-        blk = sp.lil_matrix((rhs.size, nx))
-        for sl, matv in cols_vals:
-            blk[:, sl] = matv
-        g_blocks.append(blk.tocsr())
-        h_blocks.append(rhs)
-
-    eye = sp.eye(n).toarray()
-    for i, (sv_up, sv_dn) in enumerate(s_v):
-        # activation within the procured envelope
-        add_rows([(sv_up, eye), (s_up, -eye)], np.zeros(n))
-        add_rows([(sv_dn, eye), (s_dn, -eye)], np.zeros(n))
-        # line limits after the vertex's re-dispatch
-        lim = verts_mw[i]
-        add_rows([(s_p, hd), (sv_up, hd), (sv_dn, -hd)], lim + fd0)
-        add_rows([(s_p, -hd), (sv_up, -hd), (sv_dn, hd)], lim - fd0)
-        add_rows([(s_p, hn), (sv_up, hn), (sv_dn, -hn)], n_lim + fn0)
-        add_rows([(s_p, -hn), (sv_up, -hn), (sv_dn, hn)], n_lim - fn0)
-        if s_wc is not None:
-            row = sp.lil_matrix((1, nx))
-            row[0, sv_up] = ga.act_up
-            row[0, sv_dn] = ga.act_dn
-            row[0, s_wc] = -1.0
-            g_blocks.append(row.tocsr())
-            h_blocks.append(np.zeros(1))
-    if schedule_caps_mw is not None:
-        caps = np.asarray(schedule_caps_mw, dtype=float)
-        if caps.size != k:
-            raise InputError(f"schedule_caps_mw must have length {k}")
-        add_rows([(s_p, hd)], caps + fd0)
-        add_rows([(s_p, -hd)], caps - fd0)
-
-    sol = qp.solve(qp.ConvexProgram(
-        c=c, q=q,
-        a_eq=sp.vstack(a_rows, format="csr"), b_eq=np.array(b_rows),
-        g_ineq=sp.vstack(g_blocks, format="csr"), h_ineq=np.concatenate(h_blocks),
-        lb=lb, ub=ub,
-    ))
+    program, (s_p, s_up, s_dn, s_v) = _procurement_program(
+        grid, ptdf, verts_mw, alpha, schedule_caps_mw)
+    sol = qp.solve(program)
     if sol.status is qp.SolveStatus.INFEASIBLE:
-        bad = _diagnose_vertices(grid, ptdf, verts_mw, schedule_caps_mw)
+        bad = _diagnose_vertices(grid, ptdf, verts_mw, alpha, schedule_caps_mw)
         raise InfeasibleError(
             "procurement infeasible: no covered re-dispatch exists"
             + (f"; violating vertices (p.u.): {bad}" if bad else ""),
@@ -256,60 +166,86 @@ def procure_vertex_robust(grid: GridModel, ptdf: PtdfMatrices, w: PolytopeSet,
     )
 
 
-def _diagnose_vertices(grid, ptdf, verts_mw, schedule_caps_mw):
-    """Vertices that no re-dispatch can cover even with every cap exhausted."""
-    base = dlr_base_mw(grid, ptdf)
-    bad = []
-    for lim in verts_mw:
-        try:
-            _single_vertex_feasible(grid, ptdf, lim, schedule_caps_mw)
-        except InfeasibleError:
-            bad.append(tuple(np.round(lim / base, 6)))
-    return bad
+def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
+    """The procurement program over the vertices ``verts_mw`` (MW).
 
-
-def _single_vertex_feasible(grid, ptdf, lim, schedule_caps_mw):
+    Returns it with its blocks: dispatch, procured up and down bounds,
+    and one (up, down) action pair per vertex.
+    """
     ga = gen_arrays(grid)
     n = grid.n_gens
-    hd, hn, fd0, fn0 = _flow_operators(grid, ptdf)
+    k = len(ptdf.dlr_line_index)
+    hd, hn, fd0, fn0 = flow_operators(grid, ptdf)
     n_lim = nlr_limits(grid, ptdf)
+
     lay = qp.VariableLayout()
     s_p = lay.add("p", n)
-    s_up = lay.add("up", n)
-    s_dn = lay.add("dn", n)
+    s_up = lay.add("d_up", n)
+    s_dn = lay.add("d_dn", n)
+    s_v = [(lay.add(f"v_up{i}", n), lay.add(f"v_dn{i}", n)) for i in range(len(verts_mw))]
+    s_wc = lay.add("c_wc", 1) if alpha > 0 else None
     nx = lay.size
-    lb = np.zeros(nx)
+
+    tie = _TIE_EPS * np.arange(1, n + 1)
+    c = np.zeros(nx)
+    c[s_p] = ga.cost_linear
+    c[s_up] = ga.price_up + tie
+    c[s_dn] = ga.price_dn + tie
+    # vanishing activation cost: slack vertices get the zero action, binding
+    # ones the cheapest covering action, without disturbing the optimum
+    for sv_up, sv_dn in s_v:
+        c[sv_up] = 1e-6 * ga.act_up
+        c[sv_dn] = 1e-6 * ga.act_dn
+    if s_wc is not None:
+        c[s_wc] = alpha
+    q_diag = np.zeros(nx)
+    q_diag[s_p] = 2.0 * ga.cost_quad
+    q = sp.diags(q_diag)
+
+    lb = np.full(nx, 0.0)
     ub = np.full(nx, np.inf)
     lb[s_p], ub[s_p] = ga.p_min, ga.p_max
     ub[s_up], ub[s_dn] = ga.res_up_max, ga.res_dn_max
-    a = sp.lil_matrix((2, nx))
-    a[0, s_p] = 1.0
-    a[1, s_up] = 1.0
-    a[1, s_dn] = -1.0
-    g_rows, h_rows = [], []
 
-    def add(cols_vals, rhs):
-        blk = sp.lil_matrix((rhs.size, nx))
-        for sl, mv in cols_vals:
-            blk[:, sl] = mv
-        g_rows.append(blk.tocsr())
-        h_rows.append(rhs)
+    # balance of the schedule and of every vertex action
+    ones, eye = np.ones(n), np.eye(n)
+    a_eq = sp.vstack([lay.rows((s_p, ones))]
+                     + [lay.rows((sv_up, ones), (sv_dn, -ones)) for sv_up, sv_dn in s_v],
+                     format="csr")
+    b_eq = np.concatenate([[grid.total_load], np.zeros(len(s_v))])
 
-    add([(s_p, hd), (s_up, hd), (s_dn, -hd)], lim + fd0)
-    add([(s_p, -hd), (s_up, -hd), (s_dn, hd)], lim - fd0)
-    add([(s_p, hn), (s_up, hn), (s_dn, -hn)], n_lim + fn0)
-    add([(s_p, -hn), (s_up, -hn), (s_dn, hn)], n_lim - fn0)
+    blocks = []
+    for lim, (sv_up, sv_dn) in zip(verts_mw, s_v):
+        # activation within the procured envelope
+        blocks.append((lay.rows((sv_up, eye), (s_up, -eye)), np.zeros(n)))
+        blocks.append((lay.rows((sv_dn, eye), (s_dn, -eye)), np.zeros(n)))
+        # line limits after the vertex's re-dispatch
+        blocks.append(lay.band([(s_p, hd), (sv_up, hd), (sv_dn, -hd)], -fd0, lim))
+        blocks.append(lay.band([(s_p, hn), (sv_up, hn), (sv_dn, -hn)], -fn0, n_lim))
+        if s_wc is not None:
+            blocks.append((lay.rows((sv_up, ga.act_up), (sv_dn, ga.act_dn), (s_wc, -1.0)),
+                           np.zeros(1)))
     if schedule_caps_mw is not None:
         caps = np.asarray(schedule_caps_mw, dtype=float)
-        add([(s_p, hd)], caps + fd0)
-        add([(s_p, -hd)], caps - fd0)
-    sol = qp.solve(qp.ConvexProgram(
-        c=np.zeros(nx), a_eq=a.tocsr(), b_eq=np.array([grid.total_load, 0.0]),
-        g_ineq=sp.vstack(g_rows, format="csr"), h_ineq=np.concatenate(h_rows),
-        lb=lb, ub=ub,
-    ))
-    if sol.status is qp.SolveStatus.INFEASIBLE:
-        raise InfeasibleError("vertex cannot be covered")
+        if caps.size != k:
+            raise InputError(f"schedule_caps_mw must have length {k}")
+        blocks.append(lay.band([(s_p, hd)], -fd0, caps))
+    g, h = qp.stack(blocks)
+    program = qp.ConvexProgram(c=c, q=q, a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
+                               lb=lb, ub=ub)
+    return program, (s_p, s_up, s_dn, s_v)
+
+
+def _diagnose_vertices(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
+    """Vertices (p.u.) that no covered re-dispatch reaches: the procurement
+    program over that vertex alone is infeasible."""
+    base = dlr_base_mw(grid, ptdf)
+    bad = []
+    for lim in verts_mw:
+        program, _ = _procurement_program(grid, ptdf, lim[None, :], alpha, schedule_caps_mw)
+        if qp.solve(program).status is qp.SolveStatus.INFEASIBLE:
+            bad.append(tuple(np.round(lim / base, 6).tolist()))
+    return bad
 
 
 def operate_online(grid: GridModel, ptdf: PtdfMatrices, proc: ProcurementResult,
@@ -331,7 +267,7 @@ def operate_online(grid: GridModel, ptdf: PtdfMatrices, proc: ProcurementResult,
     base = dlr_base_mw(grid, ptdf)
     lim_d = delta * base
     lim_n = nlr_limits(grid, ptdf)
-    hd, hn, fd0, fn0 = _flow_operators(grid, ptdf)
+    hd, hn, fd0, fn0 = flow_operators(grid, ptdf)
     f_d0 = hd @ proc.p_gen - fd0
     f_n0 = hn @ proc.p_gen - fn0
 
@@ -353,7 +289,7 @@ def operate_online(grid: GridModel, ptdf: PtdfMatrices, proc: ProcurementResult,
     # can never bind; dropping them keeps the LP tiny.
     reach_n = np.abs(hn_a) @ bound
     keep_n = np.flatnonzero(np.abs(f_n0) + reach_n >= lim_n - 1e-9)
-    hn_k, lim_nk, f_n0k = hn_a[keep_n], lim_n[keep_n], f_n0[keep_n]
+    hn_k = hn_a[keep_n]
 
     lay = qp.VariableLayout()
     s_up = lay.add("up", na)
@@ -364,15 +300,21 @@ def operate_online(grid: GridModel, ptdf: PtdfMatrices, proc: ProcurementResult,
     c[s_dn] = ga.act_dn[act]
     lb = np.zeros(nx)
     ub = np.concatenate([proc.delta_up[act], -proc.delta_dn[act]])
-    a = sp.csr_matrix(np.concatenate([np.ones(na), -np.ones(na)])[None, :])
-    shift = np.vstack([hd_a, -hd_a, hn_k, -hn_k])
-    g = sp.csr_matrix(np.hstack([shift, -shift]))
-    h = np.concatenate([lim_d - f_d0, lim_d + f_d0, lim_nk - f_n0k, lim_nk + f_n0k])
-
-    sol = qp.solve(qp.ConvexProgram(c=c, a_eq=a, b_eq=[0.0],
-                                    g_ineq=g, h_ineq=h, lb=lb, ub=ub))
+    g, h = qp.stack([lay.band([(s_up, hd_a), (s_dn, -hd_a)], f_d0, lim_d),
+                     lay.band([(s_up, hn_k), (s_dn, -hn_k)], f_n0[keep_n], lim_n[keep_n])])
+    program = qp.ConvexProgram(c=c, a_eq=lay.rows((s_up, np.ones(na)), (s_dn, -np.ones(na))),
+                               b_eq=[0.0], g_ineq=g, h_ineq=h, lb=lb, ub=ub)
+    sol = qp.solve(program)
     if sol.status is qp.SolveStatus.INFEASIBLE:
-        lines = _irreparable_lines(grid, ptdf, proc, act, lim_d, lim_n, f_d0, f_n0)
+        # One slack per line over both sides of its band.  The NLR lines
+        # dropped above cannot bind, so they are not overloaded either.
+        slack = qp.min_violation(program, np.concatenate(
+            [np.tile(np.arange(k), 2), k + np.tile(np.arange(keep_n.size), 2)]))
+        if slack is None:
+            lines = _overloaded_lines(ptdf, f_d0, lim_d, f_n0, lim_n)
+        else:
+            ids = list(ptdf.dlr_line_index) + [ptdf.nlr_line_index[j] for j in keep_n]
+            lines = [ids[i] for i in np.flatnonzero(slack > 1e-6)]
         raise UncoveredRealizationError(
             f"realization outside the covered set; overloaded lines: {lines}",
             lines=lines)
@@ -446,44 +388,3 @@ def _overloaded_lines(ptdf, f_d0, lim_d, f_n0, lim_n):
     lines = [ptdf.dlr_line_index[i] for i in np.flatnonzero(np.abs(f_d0) > lim_d + 1e-9)]
     lines += [ptdf.nlr_line_index[i] for i in np.flatnonzero(np.abs(f_n0) > lim_n + 1e-9)]
     return lines
-
-
-def _irreparable_lines(grid, ptdf, proc, act, lim_d, lim_n, f_d0, f_n0):
-    """Lines still overloaded at the violation-minimizing re-dispatch."""
-    ga = gen_arrays(grid)
-    na = act.size
-    k = lim_d.size
-    mn = lim_n.size
-    hd_a = ptdf.h_dlr @ grid.gen_incidence()[:, act]
-    hn_a = ptdf.h_nlr @ grid.gen_incidence()[:, act]
-    lay = qp.VariableLayout()
-    s_up = lay.add("up", na)
-    s_dn = lay.add("dn", na)
-    s_sl = lay.add("slack", k + mn)
-    nx = lay.size
-    c = np.zeros(nx)
-    c[s_sl] = 1.0
-    lb = np.zeros(nx)
-    ub = np.concatenate([proc.delta_up[act], -proc.delta_dn[act], np.full(k + mn, np.inf)])
-    a = sp.lil_matrix((1, nx))
-    a[0, s_up] = 1.0
-    a[0, s_dn] = -1.0
-    g = sp.lil_matrix((2 * (k + mn), nx))
-    sl_eye = np.eye(k + mn)
-    g[: k + mn, s_up] = np.vstack([hd_a, hn_a])
-    g[: k + mn, s_dn] = -np.vstack([hd_a, hn_a])
-    g[: k + mn, s_sl] = -sl_eye
-    g[k + mn:, s_up] = -np.vstack([hd_a, hn_a])
-    g[k + mn:, s_dn] = np.vstack([hd_a, hn_a])
-    g[k + mn:, s_sl] = -sl_eye
-    h = np.concatenate([
-        np.concatenate([lim_d - f_d0, lim_n - f_n0]),
-        np.concatenate([lim_d + f_d0, lim_n + f_n0]),
-    ])
-    sol = qp.solve(qp.ConvexProgram(c=c, a_eq=a.tocsr(), b_eq=[0.0],
-                                    g_ineq=g.tocsr(), h_ineq=h, lb=lb, ub=ub))
-    if not sol.optimal:
-        return _overloaded_lines(ptdf, f_d0, lim_d, f_n0, lim_n)
-    slack = sol.x[s_sl]
-    ids = list(ptdf.dlr_line_index) + list(ptdf.nlr_line_index)
-    return [ids[i] for i in np.flatnonzero(slack > 1e-6)]

@@ -1,11 +1,14 @@
 """End-to-end CLI tests on a small grid plus bundled data."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dlrplan
 from dlrplan import data as bundled
 from dlrplan.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 
@@ -331,3 +334,43 @@ def test_console_script_help_runs():
     assert res.returncode == 0
     for cmd in ("rate", "procure", "operate", "evaluate", "sweep"):
         assert cmd in res.stdout
+
+
+_THREAD_PROBE = """
+import ctypes, json, sys
+from dlrplan import cli, data
+code = cli.main(["rate", "--weather", str(data.weather_samples_path()),
+                 "--spec", str(data.dlr_rating_spec_path()), "--output", sys.argv[1]])
+import numpy, scipy.linalg  # every OpenBLAS the package can load
+with open("/proc/self/maps") as fh:
+    paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+counts = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, sym, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = ctypes.c_int, []
+            counts.append(fn())
+            break
+print(json.dumps({"code": code, "counts": counts}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads loaded libraries from /proc")
+def test_dlrplan_threads_caps_openblas(tmp_path):
+    """DLRPLAN_THREADS=1 reaches OpenBLAS when only the CLI sets it."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["DLRPLAN_THREADS"] = "1"
+    src = str(Path(dlrplan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    res = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(tmp_path / "ratings.csv")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.splitlines()[-1])
+    assert out["code"] == EXIT_OK
+    if not out["counts"]:
+        pytest.skip("numpy and scipy load no OpenBLAS here")
+    assert out["counts"] == [1] * len(out["counts"])

@@ -91,14 +91,6 @@ def test_fixed_variable_pair_becomes_equality():
     assert sol.x == pytest.approx([2.0, 0.0], abs=1e-7)
 
 
-def test_duals_reported_for_user_inequalities(monkeypatch):
-    # min x s.t. -x <= -1: dual of the active row equals 1
-    prog = ConvexProgram(c=[1.0], g_ineq=[[-1.0]], h_ineq=[-1.0])
-    for sol in solve_both_paths(prog, monkeypatch):
-        assert sol.optimal
-        assert sol.ineq_duals[0] == pytest.approx(1.0, abs=1e-6)
-
-
 def test_duplicate_columns_reach_optimum(monkeypatch):
     """Two identical units: the online re-dispatch LP in miniature.
 
@@ -216,7 +208,54 @@ def test_variable_layout_offsets():
     d = lay.add("d", 2)
     assert p == slice(0, 3)
     assert d == slice(3, 5)
-    assert lay.sl("p") == slice(0, 3)
     assert lay.size == 5
     with pytest.raises(ValueError):
         lay.add("p", 1)
+
+
+def test_rows_and_band_match_dense_reference():
+    lay = VariableLayout()
+    a = lay.add("a", 2)
+    b = lay.add("b", 3)
+    m_a = np.array([[1.0, 0.0], [0.0, -2.0]])
+    m_b = np.array([[0.0, 3.0, 0.0], [4.0, 0.0, 5.0]])
+    rows = lay.rows((b, m_b), (a, m_a))
+    ref = np.hstack([m_a, m_b])
+    assert np.array_equal(rows.toarray(), ref)
+    assert rows.has_sorted_indices
+    assert rows.nnz == np.count_nonzero(ref)
+
+    # a negated zero block holds -0.0 entries; none may be stored
+    offset, limit = np.array([1.0, -2.0]), np.array([10.0, 20.0])
+    g, h = lay.band([(a, m_a), (b, -np.zeros((2, 3)))], offset, limit)
+    ref = np.hstack([m_a, np.zeros((2, 3))])
+    assert np.array_equal(g.toarray(), np.vstack([ref, -ref]))
+    assert g.nnz == 2 * np.count_nonzero(ref)
+    assert np.all(g.data != 0.0)
+    assert np.array_equal(h, [9.0, 22.0, 11.0, 18.0])
+
+    one_row = lay.rows((a, [1.0, -1.0]), (slice(4, 5), 2.0))
+    assert np.array_equal(one_row.toarray(), [[1.0, -1.0, 0.0, 0.0, 2.0]])
+    with pytest.raises(ValueError):
+        lay.rows((a, np.ones((2, 2))), (b, np.ones((1, 3))))
+
+
+def test_min_violation_slack_per_group(monkeypatch):
+    # Group 0 asks x <= 1 and x >= 3; the hard equality x = y and the hard
+    # bound y >= 3 pin x at 3, so its slack is 2 (1 if the bound gave way).
+    # Group 1 (y <= 10) holds.
+    prog = ConvexProgram(
+        c=[0.0, 0.0], a_eq=[[1.0, -1.0]], b_eq=[0.0],
+        g_ineq=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], h_ineq=[1.0, -3.0, 10.0],
+        lb=[-np.inf, 3.0],
+    )
+    for dense_max_n in (qp.DENSE_MAX_N, 0):
+        with monkeypatch.context() as m:
+            m.setattr(qp, "DENSE_MAX_N", dense_max_n)
+            slack = qp.min_violation(prog, [0, 0, 1])
+        assert slack == pytest.approx([2.0, 0.0], abs=1e-6)
+
+
+def test_min_violation_none_when_hard_part_infeasible():
+    prog = ConvexProgram(c=[0.0], g_ineq=[[1.0]], h_ineq=[0.0], lb=[2.0], ub=[1.0])
+    assert qp.min_violation(prog, [0]) is None

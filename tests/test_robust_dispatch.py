@@ -6,7 +6,14 @@ from scipy.optimize import linprog
 
 from dlrplan import data as bundled
 from dlrplan.errors import InfeasibleError, InputError, UncoveredRealizationError
-from dlrplan.network import compute_ptdf, dlr_base_mw, gen_arrays, load_grid, nlr_limits
+from dlrplan.network import (
+    compute_ptdf,
+    dlr_base_mw,
+    flow_operators,
+    gen_arrays,
+    load_grid,
+    nlr_limits,
+)
 from dlrplan.robust_dispatch import dc_opf, operate_online, procure_vertex_robust
 from dlrplan.uncertainty import (
     EllipsoidSet,
@@ -195,6 +202,28 @@ def test_infeasible_procurement_names_vertex():
     assert err.value.vertices  # the uncoverable vertices are called out
 
 
+def test_uncoverable_vertex_named_in_plain_floats():
+    from dlrplan.network import GridModel, Line
+
+    from test_affine_policy import _gen_small_caps
+
+    # 300 MW of load behind a 50 MW local unit puts at least 250 MW on the
+    # line: the 0.95 p.u. (237.5 MW) vertex cannot be met, 1.05 p.u. can.
+    g = GridModel(
+        name="starved", buses=(1, 2),
+        lines=(Line("1-2", 1, 2, 0.1, 250.0, is_dlr=True),),
+        generators=(_gen_small_caps("cheap", 1, 10.0),
+                    _gen_small_caps("small", 2, 50.0, p_max=50.0)),
+        loads=((2, 300.0),), slack_bus=2,
+    )
+    w = interval_polytope(mu=1.0, half_width=0.05)
+    with pytest.raises(InfeasibleError) as err:
+        procure_vertex_robust(g, compute_ptdf(g), w, alpha=0.0)
+    assert err.value.vertices == [(0.95,)]
+    assert all(type(v) is float for vert in err.value.vertices for v in vert)
+    assert "[(0.95,)]" in str(err.value)
+
+
 def test_dimension_mismatch_rejected(rts):
     g, ptdf = rts
     with pytest.raises(InputError):
@@ -222,9 +251,7 @@ def test_rts96_procurement_beats_status_quo(rts):
     assert proc.cost_dispatch < cost_nlr
     assert proc.procured_mw > 0.0
     # schedule exceeds nominal on the congested DLR line
-    from dlrplan.robust_dispatch import _flow_operators
-
-    hd, _, fd0, _ = _flow_operators(g, ptdf)
+    hd, _, fd0, _ = flow_operators(g, ptdf)
     sched = hd @ proc.p_gen - fd0
     assert np.max(np.abs(sched)) > 250.0
 
