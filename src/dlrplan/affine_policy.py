@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from . import qp
 from .errors import InfeasibleError, InputError
-from .network import GridModel, PtdfMatrices, dlr_base_mw, flow_operators, gen_arrays, nlr_limits
+from .network import GridModel, PtdfMatrices
 from .uncertainty import (
     EllipsoidSet,
     RatingForecast,
@@ -148,7 +148,7 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     k = len(ptdf.dlr_line_index)
     if e_set.dim != k:
         raise InputError(f"uncertainty set dimension {e_set.dim} != DLR line count {k}")
-    base = dlr_base_mw(grid, ptdf)
+    base = ptdf.dlr_base_mw
     y = np.atleast_1d(np.asarray(y_mw, dtype=float))
     if y.size != k:
         raise InputError(f"y must have length {k}")
@@ -170,10 +170,8 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     delta_mw, deficits = _enforcement_points(e_set, y, base, facets)
     n_pts = delta_mw.shape[0]
 
-    ga = gen_arrays(grid)
+    ga = grid.gen_arrays
     n = grid.n_gens
-    ops = flow_operators(grid, ptdf)
-    n_lim = nlr_limits(grid, ptdf)
 
     lay = qp.VariableLayout()
     s_p = lay.add("p", n)
@@ -208,13 +206,13 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
             mix = np.kron(eye_n, u[None, :])         # rows: (D u)_g
             blocks.append((lay.rows((s_dup, mix), (s_ddn, -mix), (s_up, -eye_n)), np.zeros(n)))
             blocks.append((lay.rows((s_dup, -mix), (s_ddn, mix), (s_dn, -eye_n)), np.zeros(n)))
-        blocks += _flow_bands(lay, s_p, s_dup, s_ddn, ops, n_lim, delta_mw[v], u)
+        blocks += _flow_bands(lay, s_p, s_dup, s_ddn, ptdf, delta_mw[v], u)
 
     g, h = qp.stack(blocks)
     sol = qp.solve(qp.ConvexProgram(c=c, q=q, a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
                                     lb=lb, ub=ub))
     if sol.status is qp.SolveStatus.INFEASIBLE:
-        lines = _binding_lines(grid, ptdf, ops, delta_mw, deficits)
+        lines = _binding_lines(grid, ptdf, delta_mw, deficits)
         raise InfeasibleError(
             f"no affine policy can guarantee y={y.tolist()} MW"
             + (f"; binding lines: {lines}" if lines else ""), lines=lines)
@@ -258,23 +256,24 @@ def _equalities(lay, s_p, s_dup, s_ddn, total_load, k):
     return a_eq, np.concatenate([[total_load], np.zeros(k)])
 
 
-def _flow_bands(lay, s_p, s_dup, s_ddn, ops, n_lim, delta_mw, u):
+def _flow_bands(lay, s_p, s_dup, s_ddn, ptdf, delta_mw, u):
     """DLR and NLR flow limits at one enforcement point: the schedule plus
     the policy's action for that point's deficits ``u``."""
-    hd_m, hn_m, fd0, fn0 = ops
+    hd_m, hn_m = ptdf.gen_dlr, ptdf.gen_nlr
     shift_d = np.kron(hd_m, u[None, :])          # rows: DLR flow change
     shift_n = np.kron(hn_m, u[None, :])
-    return [lay.band([(s_p, hd_m), (s_dup, shift_d), (s_ddn, -shift_d)], -fd0, delta_mw),
-            lay.band([(s_p, hn_m), (s_dup, shift_n), (s_ddn, -shift_n)], -fn0, n_lim)]
+    return [lay.band([(s_p, hd_m), (s_dup, shift_d), (s_ddn, -shift_d)], -ptdf.load_dlr,
+                     delta_mw),
+            lay.band([(s_p, hn_m), (s_dup, shift_n), (s_ddn, -shift_n)], -ptdf.load_nlr,
+                     ptdf.nlr_limit_mw)]
 
 
-def _binding_lines(grid, ptdf, ops, delta_mw, deficits):
+def _binding_lines(grid, ptdf, delta_mw, deficits):
     """Lines that stay overloaded at the violation-minimizing policy,
     with the reserve envelope left out."""
-    ga = gen_arrays(grid)
+    ga = grid.gen_arrays
     n = grid.n_gens
     k = delta_mw.shape[1]
-    n_lim = nlr_limits(grid, ptdf)
 
     lay = qp.VariableLayout()
     s_p = lay.add("p", n)
@@ -285,9 +284,10 @@ def _binding_lines(grid, ptdf, ops, delta_mw, deficits):
     lb[s_p], ub[s_p] = ga.p_min, ga.p_max
     a_eq, b_eq = _equalities(lay, s_p, s_dup, s_ddn, grid.total_load, k)
     g, h = qp.stack([blk for point, u in zip(delta_mw, deficits)
-                     for blk in _flow_bands(lay, s_p, s_dup, s_ddn, ops, n_lim, point, u)])
+                     for blk in _flow_bands(lay, s_p, s_dup, s_ddn, ptdf, point, u)])
     # one slack per line over both sides of its band, at every point
-    per_point = np.concatenate([np.tile(np.arange(k), 2), k + np.tile(np.arange(n_lim.size), 2)])
+    n_nlr = len(ptdf.nlr_line_index)
+    per_point = np.concatenate([np.tile(np.arange(k), 2), k + np.tile(np.arange(n_nlr), 2)])
     slack = qp.min_violation(
         qp.ConvexProgram(c=np.zeros(lay.size), a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
                          lb=lb, ub=ub),

@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import InfeasibleError, InputError, NumericalError
+
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
@@ -54,8 +56,6 @@ def _write_json(path: Path, doc: dict):
 
 
 def _read_json(path: str | Path) -> dict:
-    from .errors import InputError
-
     p = Path(path)
     if not p.exists():
         raise InputError(f"missing file: {p}")
@@ -67,8 +67,6 @@ def _read_json(path: str | Path) -> dict:
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
-    from .errors import InputError
-
     try:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -86,7 +84,6 @@ def _aligned_forecast(path, ptdf):
     """Forecast reordered to the grid's DLR line order."""
     import numpy as np
 
-    from .errors import InputError
     from .uncertainty import RatingForecast, load_forecast
 
     f = load_forecast(path)
@@ -131,7 +128,6 @@ def cmd_procure(args) -> int:
 
     from . import affine_policy as ap
     from . import robust_dispatch as rd
-    from .errors import InputError
     from .uncertainty import build_ellipsoid, build_polytope
 
     grid, ptdf = _load_grid_and_ptdf(args.grid)
@@ -183,8 +179,6 @@ def cmd_procure(args) -> int:
 def _parse_realization(text: str, dlr_lines) -> "np.ndarray":
     import numpy as np
 
-    from .errors import InputError
-
     values = {}
     for part in text.split(","):
         if not part.strip():
@@ -206,9 +200,10 @@ def _parse_realization(text: str, dlr_lines) -> "np.ndarray":
 
 
 def cmd_operate(args) -> int:
+    import numpy as np
+
     from . import affine_policy as ap
     from . import robust_dispatch as rd
-    from .errors import InputError
 
     grid, ptdf = _load_grid_and_ptdf(args.grid)
     doc = _read_json(args.procurement)
@@ -220,14 +215,10 @@ def cmd_operate(args) -> int:
         plus, minus, cost = act.delta_plus, act.delta_minus, act.cost
     elif doc.get("approach") == "II":
         pp = ap.policy_procurement_from_doc(doc, grid, ptdf)
-        import numpy as np
-
         action = ap.policy_action(pp.policy, delta)
         plus = np.maximum(action, 0.0)
         minus = np.minimum(action, 0.0)
-        from .network import gen_arrays
-
-        ga = gen_arrays(grid)
+        ga = grid.gen_arrays
         deficit = pp.policy.deficit_mw(delta)
         cost = float(ga.act_up @ (pp.policy.d_up @ deficit)
                      + ga.act_dn @ (pp.policy.d_dn @ deficit))
@@ -256,7 +247,6 @@ def cmd_evaluate(args) -> int:
 
     from . import affine_policy as ap
     from . import robust_dispatch as rd
-    from .errors import InputError
     from .evaluation import ScenarioConfig, monte_carlo_eval, status_quo_cost
 
     manifest = _read_json(args.manifest)
@@ -320,7 +310,6 @@ def _resolve(root: Path, path: str) -> Path:
 # -- sweep ---------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    from .errors import InputError
     from .evaluation import ScenarioConfig, sweep_flow_limits, sweep_mu_sigma
 
     manifest = _read_json(args.manifest)
@@ -443,8 +432,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    from .errors import InfeasibleError, InputError, NumericalError
 
     try:
         return args.func(args)

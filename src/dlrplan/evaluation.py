@@ -17,7 +17,7 @@ import numpy as np
 from . import affine_policy as ap
 from . import robust_dispatch as rd
 from .errors import InfeasibleError, InputError, UncoveredRealizationError
-from .network import GridModel, PtdfMatrices, dlr_base_mw, flow_operators, gen_arrays, nlr_limits
+from .network import GridModel, PtdfMatrices
 from .uncertainty import (
     EllipsoidSet,
     PolytopeSet,
@@ -127,24 +127,22 @@ def _eval_approach_one(cfg: ScenarioConfig, proc: rd.ProcurementResult,
 
 def _eval_approach_two(cfg: ScenarioConfig, pp: ap.PolicyProcurement,
                        draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    grid, ptdf = cfg.grid, cfg.ptdf
-    ga = gen_arrays(grid)
+    ga, ptdf = cfg.grid.gen_arrays, cfg.ptdf
     pol = pp.policy
     base = pol.dlr_base_mw
     deficits = np.maximum(0.0, pol.y_mw[None, :] - draws * base[None, :])
     cost_coef = pol.d_up.T @ ga.act_up + pol.d_dn.T @ ga.act_dn
     costs = deficits @ cost_coef
 
-    hd_m, hn_m, fd0, fn0 = flow_operators(grid, ptdf)
-    f_d0 = hd_m @ pp.p_gen - fd0
-    f_n0 = hn_m @ pp.p_gen - fn0
+    hd_m, hn_m = ptdf.gen_dlr, ptdf.gen_nlr
+    f_d0 = hd_m @ pp.p_gen - ptdf.load_dlr
+    f_n0 = hn_m @ pp.p_gen - ptdf.load_nlr
     actions = deficits @ pol.d.T                      # samples x gens
     flows_d = f_d0[None, :] + deficits @ (hd_m @ pol.d).T
     flows_n = f_n0[None, :] + deficits @ (hn_m @ pol.d).T
-    lim_n = nlr_limits(grid, ptdf)
     tol = 1e-6
     ok_d = np.all(np.abs(flows_d) <= draws * base[None, :] + tol, axis=1)
-    ok_n = np.all(np.abs(flows_n) <= lim_n[None, :] + tol, axis=1)
+    ok_n = np.all(np.abs(flows_n) <= ptdf.nlr_limit_mw[None, :] + tol, axis=1)
     ok_env = np.all(actions <= pol.delta_up[None, :] + tol, axis=1) & \
         np.all(actions >= pol.delta_dn[None, :] - tol, axis=1)
     return costs, ok_d & ok_n & ok_env
@@ -160,30 +158,31 @@ def monte_carlo_eval(cfg: ScenarioConfig, proc) -> EvaluationReport:
     """
     draws = draw_realizations(cfg.forecast, cfg.sample_count, cfg.seed)
     sq = status_quo_cost(cfg.grid, cfg.ptdf)
+    return EvaluationReport(status_quo_cost=sq, rows=(_approach_row(cfg, proc, draws, sq),),
+                            sample_count=cfg.sample_count, seed=cfg.seed)
+
+
+def _approach_row(cfg: ScenarioConfig, proc, draws: np.ndarray, sq: float) -> ApproachReport:
+    """One procurement's costs over the given draws, against status-quo cost ``sq``."""
     if isinstance(proc, rd.ProcurementResult):
         label = "I"
         costs, feasible = _eval_approach_one(cfg, proc, draws)
         mean_op = float(costs[feasible].mean()) if feasible.any() else 0.0
-        disp, proc_cost = proc.cost_dispatch, proc.cost_procurement
-        procured = proc.procured_mw
     elif isinstance(proc, ap.PolicyProcurement):
         label = "II"
         costs, feasible = _eval_approach_two(cfg, proc, draws)
         mean_op = float(costs.mean())
-        disp, proc_cost = proc.cost_dispatch, proc.cost_procurement
-        procured = proc.procured_mw
     else:
         raise InputError(f"unsupported procurement type {type(proc).__name__}")
+    disp, proc_cost = proc.cost_dispatch, proc.cost_procurement
     total = disp + proc_cost + mean_op
-    row = ApproachReport(
-        label=label, dispatch_cost=disp, procured_mw=procured,
+    return ApproachReport(
+        label=label, dispatch_cost=disp, procured_mw=proc.procured_mw,
         procurement_cost=proc_cost, mean_operational_cost=mean_op,
         total_cost=total, savings_pct=100.0 * (sq - total) / sq,
         feasible=feasible,
         mean_penalty_cost=cfg.infeasibility_penalty * float(1.0 - feasible.mean()),
     )
-    return EvaluationReport(status_quo_cost=sq, rows=(row,),
-                            sample_count=cfg.sample_count, seed=cfg.seed)
 
 
 def procure_for_config(cfg: ScenarioConfig):
@@ -205,11 +204,11 @@ def procure_for_config(cfg: ScenarioConfig):
             out["II"] = ap.procure_affine(cfg.grid, cfg.ptdf, e, caps,
                                           facets=cfg.facets)
         else:
-            base = dlr_base_mw(cfg.grid, cfg.ptdf)
             if cfg.y_grid_mw is not None:
                 grid_y = [np.asarray(y, dtype=float) for y in cfg.y_grid_mw]
             else:
-                grid_y = [frac * cfg.forecast.mu * base for frac in DEFAULT_Y_FRACTIONS]
+                grid_y = [frac * cfg.forecast.mu * cfg.ptdf.dlr_base_mw
+                          for frac in DEFAULT_Y_FRACTIONS]
             _, out["II"] = ap.select_y(cfg.grid, cfg.ptdf, e, grid_y,
                                        facets=cfg.facets)
     return out
@@ -218,13 +217,11 @@ def procure_for_config(cfg: ScenarioConfig):
 def evaluate_scenario(cfg: ScenarioConfig) -> EvaluationReport:
     """Procure per the scenario and Monte Carlo-evaluate each approach."""
     procs = procure_for_config(cfg)
-    rows = []
     sq = status_quo_cost(cfg.grid, cfg.ptdf)
-    for label in ("I", "II"):
-        if label in procs:
-            rep = monte_carlo_eval(cfg, procs[label])
-            rows.append(rep.rows[0])
-    return EvaluationReport(status_quo_cost=sq, rows=tuple(rows),
+    draws = draw_realizations(cfg.forecast, cfg.sample_count, cfg.seed)
+    rows = tuple(_approach_row(cfg, procs[label], draws, sq)
+                 for label in ("I", "II") if label in procs)
+    return EvaluationReport(status_quo_cost=sq, rows=rows,
                             sample_count=cfg.sample_count, seed=cfg.seed)
 
 
@@ -315,18 +312,18 @@ def sweep_mu_sigma(cfg: ScenarioConfig, mu_grid, sigma_grid) -> list[dict]:
                 report = evaluate_scenario(sub)
             except (InfeasibleError, InputError) as exc:
                 for label in ("I", "II") if cfg.approach == "both" else (cfg.approach,):
-                    rows.append({"mu_pu": mu, "sigma_pu": sd, "approach": label,
-                                 "status": f"infeasible: {exc}",
-                                 "mean_operational_cost": float("nan"),
-                                 "total_cost": float("nan"),
-                                 "savings_pct": float("nan")})
+                    rows.append(_mu_sigma_row(mu, sd, label, None, status=f"infeasible: {exc}"))
                 continue
             for r in report.rows:
-                rows.append({
-                    "mu_pu": mu, "sigma_pu": sd, "approach": r.label, "status": "ok",
-                    "procured_mw": r.procured_mw,
-                    "mean_operational_cost": r.mean_operational_cost,
-                    "total_cost": r.total_cost,
-                    "savings_pct": r.savings_pct,
-                })
+                rows.append(_mu_sigma_row(mu, sd, r.label, r))
     return rows
+
+
+def _mu_sigma_row(mu, sd, label, r: ApproachReport | None, status: str = "ok") -> dict:
+    return {
+        "mu_pu": mu, "sigma_pu": sd, "approach": label, "status": status,
+        "procured_mw": r.procured_mw if r else float("nan"),
+        "mean_operational_cost": r.mean_operational_cost if r else float("nan"),
+        "total_cost": r.total_cost if r else float("nan"),
+        "savings_pct": r.savings_pct if r else float("nan"),
+    }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -148,20 +149,73 @@ class GridModel:
     def dlr_lines(self) -> list[Line]:
         return [ln for ln in self.lines if ln.is_dlr]
 
+    @cached_property
+    def gen_arrays(self) -> GenArrays:
+        """Generator attributes as aligned vectors, built on first use."""
+        pull = lambda attr: np.array([getattr(g, attr) for g in self.generators])
+        return GenArrays(
+            p_min=pull("p_min_mw"), p_max=pull("p_max_mw"),
+            cost_quad=pull("cost_quad"), cost_linear=pull("cost_linear"),
+            res_up_max=pull("reserve_up_max_mw"), res_dn_max=pull("reserve_down_max_mw"),
+            price_up=pull("price_reserve_up"), price_dn=pull("price_reserve_down"),
+            act_up=pull("price_activation_up"), act_dn=pull("price_activation_down"),
+        )
+
+
+@dataclass(frozen=True)
+class GenArrays:
+    """Generator attributes as aligned numpy vectors (assembly convenience)."""
+
+    p_min: np.ndarray
+    p_max: np.ndarray
+    cost_quad: np.ndarray
+    cost_linear: np.ndarray
+    res_up_max: np.ndarray
+    res_dn_max: np.ndarray
+    price_up: np.ndarray
+    price_dn: np.ndarray
+    act_up: np.ndarray
+    act_dn: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self)
+
 
 @dataclass(frozen=True)
 class PtdfMatrices:
-    """Flow sensitivities to net bus injections (slack column is zero)."""
+    """Flow sensitivities to net bus injections (slack column is zero),
+    compiled with the flows and limits that programs read.
+
+    It belongs to the grid it was computed from: the flows of a dispatch
+    p are ``gen_dlr @ p - load_dlr`` on the DLR lines and
+    ``gen_nlr @ p - load_nlr`` on the rest.
+    """
 
     h_full: np.ndarray       # lines x buses
     h_dlr: np.ndarray        # DLR-line rows
     h_nlr: np.ndarray        # remaining rows
     dlr_line_index: tuple[str, ...]
     nlr_line_index: tuple[str, ...]
+    gen_dlr: np.ndarray      # DLR flow per MW of each generator
+    gen_nlr: np.ndarray
+    load_dlr: np.ndarray     # DLR flows drawn by the loads
+    load_nlr: np.ndarray
+    dlr_base_mw: np.ndarray  # nominal MW base of per-unit DLR ratings
+    nlr_limit_mw: np.ndarray  # static limits of the NLR rows
+
+    def __post_init__(self):
+        _freeze(self)
 
     @property
     def n_lines(self) -> int:
         return self.h_full.shape[0]
+
+
+def _freeze(record):
+    """Make the arrays of a record that every caller shares read-only."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
 
 def compute_ptdf(grid: GridModel) -> PtdfMatrices:
@@ -198,12 +252,21 @@ def compute_ptdf(grid: GridModel) -> PtdfMatrices:
 
     dlr_rows = [k for k, ln in enumerate(grid.lines) if ln.is_dlr]
     nlr_rows = [k for k, ln in enumerate(grid.lines) if not ln.is_dlr]
+    h_dlr, h_nlr = h_full[dlr_rows], h_full[nlr_rows]
+    m = grid.gen_incidence()
+    load = grid.load_vector()
     return PtdfMatrices(
         h_full=h_full,
-        h_dlr=h_full[dlr_rows],
-        h_nlr=h_full[nlr_rows],
+        h_dlr=h_dlr,
+        h_nlr=h_nlr,
         dlr_line_index=tuple(grid.lines[k].id for k in dlr_rows),
         nlr_line_index=tuple(grid.lines[k].id for k in nlr_rows),
+        gen_dlr=h_dlr @ m,
+        gen_nlr=h_nlr @ m,
+        load_dlr=h_dlr @ load,
+        load_nlr=h_nlr @ load,
+        dlr_base_mw=np.array([grid.lines[k].limit_mw for k in dlr_rows]),
+        nlr_limit_mw=np.array([grid.lines[k].limit_mw for k in nlr_rows]),
     )
 
 
@@ -218,52 +281,9 @@ def flows(grid: GridModel, ptdf: PtdfMatrices, injections: np.ndarray) -> np.nda
     return ptdf.h_full @ inj
 
 
-@dataclass(frozen=True)
-class GenArrays:
-    """Generator attributes as aligned numpy vectors (assembly convenience)."""
-
-    p_min: np.ndarray
-    p_max: np.ndarray
-    cost_quad: np.ndarray
-    cost_linear: np.ndarray
-    res_up_max: np.ndarray
-    res_dn_max: np.ndarray
-    price_up: np.ndarray
-    price_dn: np.ndarray
-    act_up: np.ndarray
-    act_dn: np.ndarray
-
-
-def gen_arrays(grid: GridModel) -> GenArrays:
-    gens = grid.generators
-    pull = lambda attr: np.array([getattr(g, attr) for g in gens])
-    return GenArrays(
-        p_min=pull("p_min_mw"), p_max=pull("p_max_mw"),
-        cost_quad=pull("cost_quad"), cost_linear=pull("cost_linear"),
-        res_up_max=pull("reserve_up_max_mw"), res_dn_max=pull("reserve_down_max_mw"),
-        price_up=pull("price_reserve_up"), price_dn=pull("price_reserve_down"),
-        act_up=pull("price_activation_up"), act_dn=pull("price_activation_down"),
-    )
-
-
-def flow_operators(grid: GridModel, ptdf: PtdfMatrices):
-    """(H_dlr M, H_nlr M, H_dlr load, H_nlr load) for the flows H (M p - load)
-    of a dispatch p, where M maps generators to buses."""
-    m = grid.gen_incidence()
-    load = grid.load_vector()
-    return ptdf.h_dlr @ m, ptdf.h_nlr @ m, ptdf.h_dlr @ load, ptdf.h_nlr @ load
-
-
-def nlr_limits(grid: GridModel, ptdf: PtdfMatrices) -> np.ndarray:
-    """Static limits (MW) for the non-DLR rows, aligned with ptdf.h_nlr."""
-    by_id = {ln.id: ln for ln in grid.lines}
-    return np.array([by_id[i].limit_mw for i in ptdf.nlr_line_index])
-
-
 def dlr_base_mw(grid: GridModel, ptdf: PtdfMatrices) -> np.ndarray:
     """Nominal MW base converting per-unit DLR ratings, aligned with h_dlr."""
-    by_id = {ln.id: ln for ln in grid.lines}
-    return np.array([by_id[i].limit_mw for i in ptdf.dlr_line_index])
+    return ptdf.dlr_base_mw
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ is already feasible needs (and gets) zero action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import qp
 from .errors import InfeasibleError, InputError, UncoveredRealizationError
-from .network import GridModel, PtdfMatrices, dlr_base_mw, flow_operators, gen_arrays, nlr_limits
+from .network import GridModel, PtdfMatrices
 from .uncertainty import PolytopeSet
 
 # Deterministic preference for the lowest-index provider among equals.
@@ -71,15 +71,14 @@ def dc_opf(grid: GridModel, ptdf: PtdfMatrices,
 
     Returns (generation MW, dispatch cost).
     """
-    ga = gen_arrays(grid)
+    ga = grid.gen_arrays
     n = grid.n_gens
-    hd, hn, fd0, fn0 = flow_operators(grid, ptdf)
     d_lim = np.asarray(dlr_limits_mw, dtype=float) if dlr_limits_mw is not None \
-        else dlr_base_mw(grid, ptdf)
+        else ptdf.dlr_base_mw
     lay = qp.VariableLayout()
     s_p = lay.add("p", n)
-    g, h = qp.stack([lay.band([(s_p, hd)], -fd0, d_lim),
-                     lay.band([(s_p, hn)], -fn0, nlr_limits(grid, ptdf))])
+    g, h = qp.stack([lay.band([(s_p, ptdf.gen_dlr)], -ptdf.load_dlr, d_lim),
+                     lay.band([(s_p, ptdf.gen_nlr)], -ptdf.load_nlr, ptdf.nlr_limit_mw)])
     sol = qp.solve(qp.ConvexProgram(
         c=ga.cost_linear, q=2.0 * np.diag(ga.cost_quad),
         a_eq=lay.rows((s_p, np.ones(n))), b_eq=[grid.total_load],
@@ -110,9 +109,8 @@ def procure_vertex_robust(grid: GridModel, ptdf: PtdfMatrices, w: PolytopeSet,
     if w.dim != k:
         raise InputError(f"uncertainty set dimension {w.dim} != DLR line count {k}")
 
-    ga = gen_arrays(grid)
-    base = dlr_base_mw(grid, ptdf)
-    verts_mw = np.atleast_2d(w.vertices) * base[None, :]
+    ga = grid.gen_arrays
+    verts_mw = np.atleast_2d(w.vertices) * ptdf.dlr_base_mw[None, :]
     program, (s_p, s_up, s_dn, s_v) = _procurement_program(
         grid, ptdf, verts_mw, alpha, schedule_caps_mw)
     sol = qp.solve(program)
@@ -158,12 +156,7 @@ def procure_vertex_robust(grid: GridModel, ptdf: PtdfMatrices, w: PolytopeSet,
         except (InfeasibleError, InputError):
             actions.append(raw_actions[i])
     cost_wc = max(float(ga.act_up @ up + ga.act_dn @ (-dn)) for up, dn in actions)
-    return ProcurementResult(
-        p_gen=p, delta_up=d_up, delta_dn=-d_dn,
-        cost_dispatch=cost_disp, cost_procurement=cost_proc, cost_worst_case=cost_wc,
-        per_vertex_actions=tuple(actions), vertices_mw=verts_mw,
-        alpha=alpha, objective=float(sol.objective),
-    )
+    return replace(prelim, per_vertex_actions=tuple(actions), cost_worst_case=cost_wc)
 
 
 def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
@@ -172,11 +165,10 @@ def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
     Returns it with its blocks: dispatch, procured up and down bounds,
     and one (up, down) action pair per vertex.
     """
-    ga = gen_arrays(grid)
+    ga = grid.gen_arrays
     n = grid.n_gens
     k = len(ptdf.dlr_line_index)
-    hd, hn, fd0, fn0 = flow_operators(grid, ptdf)
-    n_lim = nlr_limits(grid, ptdf)
+    hd, hn, fd0, fn0 = ptdf.gen_dlr, ptdf.gen_nlr, ptdf.load_dlr, ptdf.load_nlr
 
     lay = qp.VariableLayout()
     s_p = lay.add("p", n)
@@ -221,7 +213,8 @@ def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
         blocks.append((lay.rows((sv_dn, eye), (s_dn, -eye)), np.zeros(n)))
         # line limits after the vertex's re-dispatch
         blocks.append(lay.band([(s_p, hd), (sv_up, hd), (sv_dn, -hd)], -fd0, lim))
-        blocks.append(lay.band([(s_p, hn), (sv_up, hn), (sv_dn, -hn)], -fn0, n_lim))
+        blocks.append(lay.band([(s_p, hn), (sv_up, hn), (sv_dn, -hn)], -fn0,
+                               ptdf.nlr_limit_mw))
         if s_wc is not None:
             blocks.append((lay.rows((sv_up, ga.act_up), (sv_dn, ga.act_dn), (s_wc, -1.0)),
                            np.zeros(1)))
@@ -239,12 +232,11 @@ def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
 def _diagnose_vertices(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
     """Vertices (p.u.) that no covered re-dispatch reaches: the procurement
     program over that vertex alone is infeasible."""
-    base = dlr_base_mw(grid, ptdf)
     bad = []
     for lim in verts_mw:
         program, _ = _procurement_program(grid, ptdf, lim[None, :], alpha, schedule_caps_mw)
         if qp.solve(program).status is qp.SolveStatus.INFEASIBLE:
-            bad.append(tuple(np.round(lim / base, 6).tolist()))
+            bad.append(tuple(np.round(lim / ptdf.dlr_base_mw, 6).tolist()))
     return bad
 
 
@@ -262,14 +254,13 @@ def operate_online(grid: GridModel, ptdf: PtdfMatrices, proc: ProcurementResult,
     if np.any(delta <= 0):
         raise InputError("realized ratings must be positive")
 
-    ga = gen_arrays(grid)
+    ga = grid.gen_arrays
     n = grid.n_gens
-    base = dlr_base_mw(grid, ptdf)
-    lim_d = delta * base
-    lim_n = nlr_limits(grid, ptdf)
-    hd, hn, fd0, fn0 = flow_operators(grid, ptdf)
-    f_d0 = hd @ proc.p_gen - fd0
-    f_n0 = hn @ proc.p_gen - fn0
+    lim_d = delta * ptdf.dlr_base_mw
+    lim_n = ptdf.nlr_limit_mw
+    hd, hn = ptdf.gen_dlr, ptdf.gen_nlr
+    f_d0 = hd @ proc.p_gen - ptdf.load_dlr
+    f_n0 = hn @ proc.p_gen - ptdf.load_nlr
 
     if np.all(np.abs(f_d0) <= lim_d + 1e-9) and np.all(np.abs(f_n0) <= lim_n + 1e-9):
         zero = np.zeros(n)
@@ -332,7 +323,6 @@ def operate_online(grid: GridModel, ptdf: PtdfMatrices, proc: ProcurementResult,
 def procurement_to_doc(proc: ProcurementResult, grid: GridModel,
                        ptdf: PtdfMatrices) -> dict:
     """Documented report: costs, reserves per generator, per-vertex actions."""
-    base = dlr_base_mw(grid, ptdf)
     return {
         "approach": "I",
         "grid_name": grid.name,
@@ -346,7 +336,7 @@ def procurement_to_doc(proc: ProcurementResult, grid: GridModel,
         "cost_procurement": proc.cost_procurement,
         "cost_worst_case": proc.cost_worst_case,
         "objective": proc.objective,
-        "vertices_pu": (proc.vertices_mw / base[None, :]).tolist(),
+        "vertices_pu": (proc.vertices_mw / ptdf.dlr_base_mw[None, :]).tolist(),
         "per_vertex_actions": [
             {"plus_mw": up.tolist(), "minus_mw": dn.tolist()}
             for up, dn in proc.per_vertex_actions
@@ -364,7 +354,6 @@ def procurement_from_doc(doc: dict, grid: GridModel,
         raise InputError("procurement report generators do not match the grid")
     if tuple(doc.get("dlr_lines", ())) != ptdf.dlr_line_index:
         raise InputError("procurement report DLR lines do not match the grid")
-    base = dlr_base_mw(grid, ptdf)
     verts_pu = np.asarray(doc["vertices_pu"], dtype=float)
     actions = tuple(
         (np.asarray(a["plus_mw"], dtype=float), np.asarray(a["minus_mw"], dtype=float))
@@ -378,7 +367,7 @@ def procurement_from_doc(doc: dict, grid: GridModel,
         cost_procurement=float(doc["cost_procurement"]),
         cost_worst_case=float(doc["cost_worst_case"]),
         per_vertex_actions=actions,
-        vertices_mw=verts_pu * base[None, :],
+        vertices_mw=verts_pu * ptdf.dlr_base_mw[None, :],
         alpha=float(doc.get("alpha", 0.0)),
         objective=float(doc.get("objective", 0.0)),
     )

@@ -277,6 +277,24 @@ def test_sweep_reruns_byte_identical(toy):
     assert a == b
 
 
+def test_sweep_mu_sigma_infeasible_point_keeps_columns(toy):
+    tmp, grid, forecast = toy
+    for name, mus in (("high_first", [1.5, 0.1]), ("low_first", [0.1, 1.5])):
+        manifest = tmp / f"{name}.json"
+        manifest.write_text(json.dumps({
+            "grid": str(grid), "forecast": str(forecast),
+            "sample_count": 40, "seed": 3,
+            "mu_grid_pu": mus, "sigma_grid_pu": [0.1],
+            "output_dir": str(tmp / name),
+        }))
+        assert main(["sweep", "--manifest", str(manifest), "--kind", "mu-sigma"]) == EXIT_OK
+        lines = (tmp / name / "sweep_mu_sigma.csv").read_text().splitlines()
+        assert lines[0] == ("mu_pu,sigma_pu,approach,status,procured_mw,"
+                            "mean_operational_cost,total_cost,savings_pct")
+        assert len(lines) == 5
+        assert any(",infeasible: " in line and ",nan," in line for line in lines[1:])
+
+
 def test_rate_worked_example_through_cli(tmp_path):
     import math
 

@@ -13,7 +13,6 @@ from dlrplan.network import (
     dlr_base_mw,
     flows,
     load_grid,
-    nlr_limits,
 )
 
 
@@ -184,8 +183,26 @@ def test_dlr_nlr_rows_partition():
     g = load_grid(bundled.rts96_grid_path())
     ptdf = compute_ptdf(g)
     assert ptdf.h_dlr.shape[0] + ptdf.h_nlr.shape[0] == ptdf.h_full.shape[0]
-    assert len(nlr_limits(g, ptdf)) == ptdf.h_nlr.shape[0]
+    assert len(ptdf.nlr_limit_mw) == ptdf.h_nlr.shape[0]
     assert dlr_base_mw(g, ptdf) == pytest.approx([250.0, 250.0])
+
+
+def test_compiled_flow_arrays_match_reference():
+    g = load_grid(bundled.rts96_grid_path())
+    ptdf = compute_ptdf(g)
+    m_inc = g.gen_incidence()
+    load = g.load_vector()
+    assert np.array_equal(ptdf.gen_dlr, ptdf.h_dlr @ m_inc)
+    assert np.array_equal(ptdf.gen_nlr, ptdf.h_nlr @ m_inc)
+    assert np.array_equal(ptdf.load_dlr, ptdf.h_dlr @ load)
+    assert np.array_equal(ptdf.load_nlr, ptdf.h_nlr @ load)
+    limit = {ln.id: ln.limit_mw for ln in g.lines}
+    assert ptdf.dlr_base_mw.tolist() == [limit[i] for i in ptdf.dlr_line_index]
+    assert ptdf.nlr_limit_mw.tolist() == [limit[i] for i in ptdf.nlr_line_index]
+    assert g.gen_arrays is g.gen_arrays
+    assert g.gen_arrays.p_max.tolist() == [gen.p_max_mw for gen in g.generators]
+    with pytest.raises(ValueError):
+        ptdf.nlr_limit_mw[0] = 1.0
 
 
 def test_imbalanced_injections_rejected():

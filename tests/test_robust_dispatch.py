@@ -6,14 +6,7 @@ from scipy.optimize import linprog
 
 from dlrplan import data as bundled
 from dlrplan.errors import InfeasibleError, InputError, UncoveredRealizationError
-from dlrplan.network import (
-    compute_ptdf,
-    dlr_base_mw,
-    flow_operators,
-    gen_arrays,
-    load_grid,
-    nlr_limits,
-)
+from dlrplan.network import compute_ptdf, load_grid
 from dlrplan.robust_dispatch import dc_opf, operate_online, procure_vertex_robust
 from dlrplan.uncertainty import (
     EllipsoidSet,
@@ -251,8 +244,7 @@ def test_rts96_procurement_beats_status_quo(rts):
     assert proc.cost_dispatch < cost_nlr
     assert proc.procured_mw > 0.0
     # schedule exceeds nominal on the congested DLR line
-    hd, _, fd0, _ = flow_operators(g, ptdf)
-    sched = hd @ proc.p_gen - fd0
+    sched = ptdf.gen_dlr @ proc.p_gen - ptdf.load_dlr
     assert np.max(np.abs(sched)) > 250.0
 
 
@@ -269,14 +261,16 @@ def test_rts96_alpha_shifts_procurement(rts):
 
 def _highs_online_cost(g, ptdf, proc, delta_pu):
     """Optimum of the online re-dispatch LP over every unit and every line, by HiGHS."""
-    ga = gen_arrays(g)
+    ga = g.gen_arrays
     n = g.n_gens
     m_inc = g.gen_incidence()
     load = g.load_vector()
     h = np.vstack([ptdf.h_dlr, ptdf.h_nlr])
     shift = h @ m_inc
     f0 = shift @ proc.p_gen - h @ load
-    lim = np.concatenate([delta_pu * dlr_base_mw(g, ptdf), nlr_limits(g, ptdf)])
+    limit = {ln.id: ln.limit_mw for ln in g.lines}
+    lim = np.concatenate([delta_pu * [limit[i] for i in ptdf.dlr_line_index],
+                          [limit[i] for i in ptdf.nlr_line_index]])
     res = linprog(
         c=np.concatenate([ga.act_up, ga.act_dn]),
         A_ub=np.vstack([np.hstack([shift, -shift]), np.hstack([-shift, shift])]),
