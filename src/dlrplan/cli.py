@@ -12,6 +12,7 @@ honored); ``main`` sets it before numpy loads.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -44,9 +45,9 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path: Path, doc: dict):

@@ -251,28 +251,46 @@ def audit_robust_feasibility(cfg: ScenarioConfig, proc, count: int = 10_000,
     raise InputError(f"unsupported procurement type {type(proc).__name__}")
 
 
+def _sweep_point(cfg: ScenarioConfig) -> list[tuple[str, ApproachReport | None, str]]:
+    """Each approach's report at one sweep point, with its status.
+
+    The approaches are procured and evaluated separately, so one that
+    fails leaves the other's row intact; the status quo and the draws
+    are shared.
+    """
+    labels = ("I", "II") if cfg.approach == "both" else (cfg.approach,)
+    try:
+        sq = status_quo_cost(cfg.grid, cfg.ptdf)
+    except (InfeasibleError, InputError) as exc:
+        return [(label, None, f"infeasible: {exc}") for label in labels]
+    draws = draw_realizations(cfg.forecast, cfg.sample_count, cfg.seed)
+    out = []
+    for label in labels:
+        try:
+            proc = procure_for_config(replace(cfg, approach=label))[label]
+        except (InfeasibleError, InputError) as exc:
+            out.append((label, None, f"infeasible: {exc}"))
+            continue
+        out.append((label, _approach_row(cfg, proc, draws, sq), "ok"))
+    return out
+
+
 def sweep_flow_limits(cfg: ScenarioConfig, limits_grid) -> list[dict]:
     """Procured reserves and savings for each DLR flow-limit cap.
 
-    One output row per (cap vector, approach); infeasible caps are
-    reported with a status instead of failing the sweep.
+    One output row per (cap vector, approach); an approach that is
+    infeasible at a cap is reported with a status instead of failing
+    the sweep.
     """
     rows: list[dict] = []
     for caps in limits_grid:
         caps_t = tuple(float(c) for c in np.atleast_1d(caps))
         sub = replace(cfg, flow_caps_mw=caps_t)
-        try:
-            report = evaluate_scenario(sub)
-        except (InfeasibleError, InputError) as exc:
-            for label in ("I", "II") if cfg.approach == "both" else (cfg.approach,):
-                rows.append(_sweep_row(caps_t, label, None, status=f"infeasible: {exc}"))
-            continue
-        for r in report.rows:
-            rows.append(_sweep_row(caps_t, r.label, r))
+        rows += [_sweep_row(caps_t, label, r, status) for label, r, status in _sweep_point(sub)]
     return rows
 
 
-def _sweep_row(caps, label, r: ApproachReport | None, status: str = "ok") -> dict:
+def _sweep_row(caps, label, r: ApproachReport | None, status: str) -> dict:
     row = {f"cap_mw_{i + 1}": c for i, c in enumerate(caps)}
     row.update({
         "approach": label,
@@ -308,18 +326,12 @@ def sweep_mu_sigma(cfg: ScenarioConfig, mu_grid, sigma_grid) -> list[dict]:
                 line_ids=cfg.forecast.line_ids,
             )
             sub = replace(cfg, forecast=forecast)
-            try:
-                report = evaluate_scenario(sub)
-            except (InfeasibleError, InputError) as exc:
-                for label in ("I", "II") if cfg.approach == "both" else (cfg.approach,):
-                    rows.append(_mu_sigma_row(mu, sd, label, None, status=f"infeasible: {exc}"))
-                continue
-            for r in report.rows:
-                rows.append(_mu_sigma_row(mu, sd, r.label, r))
+            rows += [_mu_sigma_row(mu, sd, label, r, status)
+                     for label, r, status in _sweep_point(sub)]
     return rows
 
 
-def _mu_sigma_row(mu, sd, label, r: ApproachReport | None, status: str = "ok") -> dict:
+def _mu_sigma_row(mu, sd, label, r: ApproachReport | None, status: str) -> dict:
     return {
         "mu_pu": mu, "sigma_pu": sd, "approach": label, "status": status,
         "procured_mw": r.procured_mw if r else float("nan"),

@@ -9,9 +9,12 @@ Solves
 
 with Q symmetric positive semidefinite, via an infeasible-start
 primal-dual interior point method (Mehrotra predictor-corrector).
-Linear programs are the Q = 0 special case.  The KKT systems of
-programs with n <= DENSE_MAX_N (400) variables are factored densely
-with LAPACK; larger programs stay on sparse matrices and SuperLU.
+Linear programs are the Q = 0 special case.  The KKT systems are
+factored with LAPACK's dense LU.  A program may declare ``blocks``,
+column ranges whose variables couple only to themselves and to the
+linking columns outside every block (approach I's per-vertex actions
+are such blocks); each block is then eliminated by its own LU and the
+linking variables are solved from the Schur complement.
 
 ``VariableLayout`` names the variable blocks of a program and builds
 its constraint rows over them.  ``min_violation`` is the elastic LP
@@ -38,9 +41,8 @@ import scipy.sparse.linalg as spla
 PHASE1_TOL = 1e-7
 _REG = 1e-11
 _HUGE = 1e13
-# Programs with at most this many variables are handled with dense linear
-# algebra: the eigenvalue check of Q and the LAPACK factorization of the
-# interior-point KKT systems.  Larger ones keep sparse matrices and SuperLU.
+# Q is checked for positive semidefiniteness by its eigenvalues only in
+# programs with at most this many variables.
 DENSE_MAX_N = 400
 
 
@@ -115,6 +117,9 @@ class ConvexProgram:
 
     Matrices may be dense ndarrays or scipy sparse; ``q`` and the
     constraint blocks may be None when absent.  Bounds default to free.
+    ``blocks`` are disjoint column ranges: no constraint row and no entry
+    of ``q`` may touch two of them.  Columns outside every block link
+    the blocks.  They change how the program is factored, not its solution.
     """
 
     c: np.ndarray
@@ -125,6 +130,7 @@ class ConvexProgram:
     h_ineq: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+    blocks: tuple[slice, ...] = ()
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).ravel()
@@ -161,6 +167,19 @@ class ConvexProgram:
                 if bv.size != n:
                     raise ValueError(f"{bname} must have length {n}")
                 object.__setattr__(self, bname, bv)
+        blocks = tuple(self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        if blocks:
+            label = _block_labels(blocks, n)
+            for name in ("a_eq", "g_ineq"):
+                m = getattr(self, name)
+                if m is not None and _row_blocks(m, label)[2]:
+                    raise ValueError(f"a row of {name} couples two blocks")
+            if self.q is not None:
+                q = self.q.tocoo()
+                lr, lc = label[q.row], label[q.col]
+                if np.any((lr >= 0) & (lc >= 0) & (lr != lc)):
+                    raise ValueError("an entry of q couples two blocks")
 
     @property
     def n(self) -> int:
@@ -232,19 +251,24 @@ def solve(program: ConvexProgram, tol: float = 1e-9, max_iter: int = 100) -> Sol
     if g.shape[0] == 0:
         return _solve_equality_qp(q, c, a, b, x_eq)
 
-    res = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=max_iter)
+    blocks = program.blocks
+    res = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=max_iter, blocks=blocks)
     if res.status is SolveStatus.OPTIMAL or res.status is SolveStatus.UNBOUNDED:
         return _finalize(res, program)
 
     # Main solve did not converge: certify feasibility before blaming numerics.
-    t_star = _phase1(a, b, g, h, x_eq, max_iter=max_iter)
+    t_star = _phase1(a, b, g, h, x_eq, max_iter=max_iter, blocks=blocks)
     if t_star is None:
         return Solution(SolveStatus.NUMERICAL_FAILURE, iterations=res.iterations)
     if t_star > PHASE1_TOL:
         return Solution(SolveStatus.INFEASIBLE, iterations=res.iterations)
-    if _has_unbounded_ray(q, c, a, g):
+    if _has_unbounded_ray(q, c, a, g, blocks):
         return Solution(SolveStatus.UNBOUNDED, iterations=res.iterations)
-    retry = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=2 * max_iter, reg=1e-9)
+    # The retry shifts every KKT diagonal by a multiple of the matrix's own
+    # scale: barrier weights near their cap (1e14) can make it exactly
+    # singular, and a zero pivot's eps-sized stand-in then yields no step.
+    retry = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=2 * max_iter, blocks=blocks,
+                 shift=1e-14)
     if retry.status is SolveStatus.OPTIMAL or retry.status is SolveStatus.UNBOUNDED:
         return _finalize(retry, program)
     return Solution(SolveStatus.NUMERICAL_FAILURE, iterations=retry.iterations)
@@ -271,6 +295,7 @@ def min_violation(program: ConvexProgram, groups) -> np.ndarray | None:
         a_eq=a_eq, b_eq=program.b_eq,
         g_ineq=sp.hstack([program.g_ineq, relax], format="csr"), h_ineq=program.h_ineq,
         lb=np.concatenate([lb, np.zeros(k)]), ub=np.concatenate([ub, np.full(k, np.inf)]),
+        blocks=program.blocks,
     ))
     return sol.x[n:] if sol.optimal else None
 
@@ -338,51 +363,139 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float(np.min(-v[neg] / dv[neg])))
 
 
-def _factor_sparse(q, g, gt, a, at, w, reg_eye_n, neg_reg_eye_me):
-    """SuperLU of the KKT matrix; on an exactly singular one, retry with
-    growing diagonal shifts.  Returns a solve function, or None."""
-    m = (q + gt @ sp.diags(w) @ g + reg_eye_n).tocsc()
-    if a.shape[0]:
-        kkt = sp.bmat([[m, at], [a, neg_reg_eye_me]], format="csc")
-    else:
-        kkt = m
-    m_scale = max(1.0, float(np.abs(kkt.data).max()) if kkt.nnz else 1.0)
-    for shift in (0.0, 1e-12 * m_scale, 1e-9 * m_scale, 1e-6 * m_scale):
-        try:
-            return spla.splu((kkt + shift * sp.eye(kkt.shape[0])).tocsc() if shift else kkt).solve
-        except RuntimeError:
-            continue
-    return None
+def _block_labels(blocks, n: int) -> np.ndarray:
+    """Block index of every column; -1 marks a linking column."""
+    label = np.full(n, -1)
+    for i, sl in enumerate(blocks):
+        if not (isinstance(sl, slice) and sl.step in (None, 1) and sl.start is not None
+                and sl.stop is not None and 0 <= sl.start < sl.stop <= n):
+            raise ValueError(f"block {sl} is not a nonempty column range within 0..{n}")
+        if np.any(label[sl] >= 0):
+            raise ValueError(f"block {sl} overlaps another block")
+        label[sl] = i
+    return label
 
 
-def _factor_dense(q, g, gt, a, at, w, reg_eye_n, neg_reg_eye_me):
-    """LAPACK LU of the KKT matrix.  Returns a solve function.
+def _row_blocks(m, label: np.ndarray):
+    """Per row of ``m``: the block it touches (-1 for none) and whether it
+    touches a linking column; and whether any row touches two blocks."""
+    m = sp.csr_matrix(m)
+    lab = label[m.indices]
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    inb = lab >= 0
+    hi = np.full(m.shape[0], -1)
+    lo = np.full(m.shape[0], label.size)
+    np.maximum.at(hi, rows[inb], lab[inb])
+    np.minimum.at(lo, rows[inb], lab[inb])
+    links = np.bincount(rows[~inb], minlength=m.shape[0]) > 0
+    return hi, links, bool(np.any((hi >= 0) & (lo != hi)))
+
+
+def _lu(mat: np.ndarray, n_x: int, shift: float):
+    """LAPACK LU of a KKT matrix, overwriting it.
 
     Duplicate columns (identical units at one bus) can make the matrix
     exactly singular late in the iterations.  Only the exactly-zero
     pivots are then replaced by eps * max|K|: the Newton step is
-    perturbed in the degenerate directions and nowhere else.
+    perturbed in the degenerate directions and nowhere else.  A nonzero
+    ``shift`` first moves the whole diagonal away from zero by
+    ``shift * max|K|``: up on the first ``n_x`` rows (the variables),
+    down on the others (the equalities).
     """
-    kkt = np.block([[q + (gt * w) @ g + reg_eye_n, at], [a, neg_reg_eye_me]])
-    scale = max(1.0, float(np.abs(kkt).max()))
+    scale = max(1.0, float(np.abs(mat).max())) if mat.size else 1.0
+    if shift:
+        i = np.arange(mat.shape[0])
+        mat[i, i] += np.where(i < n_x, shift, -shift) * scale
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(kkt, overwrite_a=True, check_finite=False)
+        lu, piv = sla.lu_factor(mat, overwrite_a=True, check_finite=False)
     zero = np.flatnonzero(lu.diagonal() == 0.0)
     lu[zero, zero] = np.finfo(float).eps * scale
-    return lambda rhs: sla.lu_solve((lu, piv), rhs, check_finite=False)
+    return lu, piv
 
 
-def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, reg: float = _REG) -> _IpmResult:
+def _kkt(q, a, g, blocks, shift: float):
+    """Factorization of the KKT matrices ``[[Q + G'WG + _REG I, A'], [A, -_REG I]]``.
+
+    Returns ``factor(w)``, which LU-factors the matrix for the inequality
+    weights ``w`` and returns the solve function of the result.  Each
+    block's variables, with the equalities that touch the block, are
+    eliminated by the LU of their own augmented matrix; the linking
+    variables and the remaining equalities are solved from the Schur
+    complement.  Without blocks that complement is the whole matrix, and
+    ``q``, ``a`` and ``g`` are dense; with blocks they are sparse.
+    ``shift`` is passed on to ``_lu``.
+    """
+    n, me = q.shape[0], a.shape[0]
+    parts = []
+    if blocks:
+        label = _block_labels(blocks, n)
+        g_blk, g_links, _ = _row_blocks(g, label)
+        a_blk = _row_blocks(a, label)[0]
+        link, eq_l = np.flatnonzero(label < 0), np.flatnonzero(a_blk < 0)
+        # block rows enter the linking product only through their linking entries
+        rows_l = np.flatnonzero((g_blk < 0) | g_links)
+
+        def part(m, rows, cols):
+            return m[rows][:, cols].toarray()
+
+        q_l, a_l, g_l = part(q, link, link), part(a, eq_l, link), part(g, rows_l, link)
+        for i, sl in enumerate(blocks):
+            cols = np.r_[sl, link]
+            rows, eqs = np.flatnonzero(g_blk == i), np.flatnonzero(a_blk == i)
+            parts.append((sl, eqs, rows, part(q, sl, cols), part(a, eqs, cols), part(g, rows, cols)))
+    else:
+        rows_l = slice(None)
+        q_l, a_l, g_l = q, a, g
+    nl = q_l.shape[0]
+    a_lt, g_lt = a_l.T, g_l.T
+    reg_eye_l, neg_reg_eye_l = _REG * np.eye(nl), -_REG * np.eye(a_l.shape[0])
+
+    def factor(w):
+        s_xx = q_l + (g_lt * w[rows_l]) @ g_l
+        elim = []
+        for sl, eqs, rows, q_b, a_b, g_b in parts:
+            nb = sl.stop - sl.start
+            h_b = q_b + (g_b[:, :nb].T * w[rows]) @ g_b
+            k_b = np.block([[h_b[:, :nb] + _REG * np.eye(nb), a_b[:, :nb].T],
+                            [a_b[:, :nb], -_REG * np.eye(eqs.size)]])
+            lu_b = _lu(k_b, nb, shift)
+            cpl = np.vstack([h_b[:, nb:], a_b[:, nb:]])
+            x_b = sla.lu_solve(lu_b, cpl, check_finite=False)
+            s_xx -= cpl.T @ x_b
+            elim.append((sl, eqs, nb, lu_b, cpl, x_b))
+        lu_s = _lu(np.block([[s_xx + reg_eye_l, a_lt], [a_l, neg_reg_eye_l]]), nl, shift)
+        if not blocks:
+            return lambda rhs: sla.lu_solve(lu_s, rhs, check_finite=False)
+
+        def solve(rhs):
+            rx, ry = rhs[:n], rhs[n:]
+            r_l = np.concatenate([rx[link], ry[eq_l]])
+            t = []
+            for sl, eqs, nb, lu_b, cpl, x_b in elim:
+                t_b = sla.lu_solve(lu_b, np.concatenate([rx[sl], ry[eqs]]), check_finite=False)
+                r_l[:nl] -= cpl.T @ t_b
+                t.append(t_b)
+            d_l = sla.lu_solve(lu_s, r_l, check_finite=False)
+            out = np.empty(n + me)
+            out[link], out[n + eq_l] = d_l[:nl], d_l[nl:]
+            for (sl, eqs, nb, lu_b, cpl, x_b), t_b in zip(elim, t):
+                d_b = t_b - x_b @ d_l[:nl]
+                out[sl], out[n + eqs] = d_b[:nb], d_b[nb:]
+            return out
+        return solve
+    return factor
+
+
+def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, blocks=(),
+         shift: float = 0.0) -> _IpmResult:
     n = q.shape[0]
     me, mi = a.shape[0], g.shape[0]
-    if n <= DENSE_MAX_N:
+    if not blocks:
+        # the KKT matrix is dense anyway; so are the residual products
         q, a, g = q.toarray(), a.toarray(), g.toarray()
-        factor, eye = _factor_dense, np.eye
-    else:
-        factor, eye = _factor_sparse, sp.eye
+    factor = _kkt(q, a, g, blocks, shift)
     at, gt = a.T, g.T
-    reg_eye_n, neg_reg_eye_me = reg * eye(n), -reg * eye(me)
 
     x = x0.copy()
     y = np.zeros(me)
@@ -428,9 +541,7 @@ def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, reg: float = _REG) -> 
             return _IpmResult(SolveStatus.NUMERICAL_FAILURE, iterations=it)
 
         w = np.minimum(z / np.maximum(s, 1e-14), 1e14)
-        kkt_solve = factor(q, g, gt, a, at, w, reg_eye_n, neg_reg_eye_me)
-        if kkt_solve is None:
-            return _accept_best(it)
+        kkt_solve = factor(w)
 
         def newton(s_inv_rc):
             rx = -rd + gt @ s_inv_rc - gt @ (w * rg)
@@ -476,7 +587,7 @@ def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, reg: float = _REG) -> 
     return _accept_best(max_iter)
 
 
-def _has_unbounded_ray(q, c, a, g) -> bool:
+def _has_unbounded_ray(q, c, a, g, blocks) -> bool:
     """Certify a recession direction: Qd = 0, Ad = 0, Gd <= 0, c'd < 0.
 
     The direction is searched in the unit box, so the certificate LP is
@@ -496,14 +607,15 @@ def _has_unbounded_ray(q, c, a, g) -> bool:
     g2 = sp.vstack(rows + [lo_rows], format="csr")
     h2 = np.concatenate(rhs + [np.ones(2 * n)])
     res = _ipm(sp.csr_matrix((n, n)), c, a1, b1, g2, h2, np.zeros(n),
-               tol=1e-9, max_iter=100)
+               tol=1e-9, max_iter=100, blocks=blocks)
     if res.status is not SolveStatus.OPTIMAL:
         return False
     return float(c @ res.x) < -1e-7 * (1.0 + np.linalg.norm(c, np.inf))
 
 
-def _phase1(a, b, g, h, x_eq, max_iter: int):
-    """Minimal uniform inequality violation; None when that LP itself fails."""
+def _phase1(a, b, g, h, x_eq, max_iter: int, blocks):
+    """Minimal uniform inequality violation; None when that LP itself fails.
+    The violation column links the blocks."""
     n = g.shape[1]
     mi = g.shape[0]
     g1 = sp.hstack([g, -np.ones((mi, 1))], format="csr")
@@ -516,7 +628,7 @@ def _phase1(a, b, g, h, x_eq, max_iter: int):
     t0 = max(1.0, float(np.max(g @ x_eq - h)) + 1.0) if mi else 1.0
     x0 = np.concatenate([x_eq, [t0]])
     q1 = sp.csr_matrix((n + 1, n + 1))
-    res = _ipm(q1, c1, a1, b, g1, h1, x0, tol=1e-9, max_iter=max_iter)
+    res = _ipm(q1, c1, a1, b, g1, h1, x0, tol=1e-9, max_iter=max_iter, blocks=blocks)
     if res.status is not SolveStatus.OPTIMAL:
         return None
     return float(res.x[n])

@@ -224,8 +224,10 @@ def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
             raise InputError(f"schedule_caps_mw must have length {k}")
         blocks.append(lay.band([(s_p, hd)], -fd0, caps))
     g, h = qp.stack(blocks)
+    # each vertex's action couples to the others only through p, d_up, d_dn and c_wc
     program = qp.ConvexProgram(c=c, q=q, a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
-                               lb=lb, ub=ub)
+                               lb=lb, ub=ub,
+                               blocks=tuple(slice(sv_up.start, sv_dn.stop) for sv_up, sv_dn in s_v))
     return program, (s_p, s_up, s_dn, s_v)
 
 

@@ -21,6 +21,7 @@ from dlrplan.uncertainty import (
     build_ellipsoid,
     build_polytope,
     chi2_quantile,
+    load_forecast,
 )
 
 from test_network import two_bus_grid
@@ -282,3 +283,16 @@ def test_rts96_policy_procures_at_least_approach_one():
     proc_i = procure_vertex_robust(g, ptdf, w, alpha=0.0, schedule_caps_mw=y)
     pp = procure_affine(g, ptdf, e, y)
     assert pp.procured_mw >= proc_i.procured_mw - 1e-3
+
+
+@pytest.mark.slow
+def test_rts96_infeasible_guarantee_names_binding_lines():
+    """The elastic LP behind the diagnosis drives its barrier weights to
+    the cap; the solver's retry must still reach its optimum."""
+    g = load_grid(bundled.rts96_grid_path())
+    ptdf = compute_ptdf(g)
+    f = load_forecast(bundled.forecast_path("24h"))
+    wide = RatingForecast(mu=f.mu, sigma=25.0 * f.sigma, line_ids=f.line_ids)
+    with pytest.raises(InfeasibleError) as err:
+        procure_affine(g, ptdf, build_ellipsoid(wide, 0.95), 1.05 * f.mu * ptdf.dlr_base_mw)
+    assert err.value.lines == ["214-216", "216-219"]

@@ -1,5 +1,6 @@
 """End-to-end CLI tests on a small grid plus bundled data."""
 
+import csv
 import json
 import os
 import subprocess
@@ -288,11 +289,35 @@ def test_sweep_mu_sigma_infeasible_point_keeps_columns(toy):
             "output_dir": str(tmp / name),
         }))
         assert main(["sweep", "--manifest", str(manifest), "--kind", "mu-sigma"]) == EXIT_OK
-        lines = (tmp / name / "sweep_mu_sigma.csv").read_text().splitlines()
-        assert lines[0] == ("mu_pu,sigma_pu,approach,status,procured_mw,"
-                            "mean_operational_cost,total_cost,savings_pct")
-        assert len(lines) == 5
-        assert any(",infeasible: " in line and ",nan," in line for line in lines[1:])
+        rows = _read_csv(tmp / name / "sweep_mu_sigma.csv")
+        assert rows[0] == ["mu_pu", "sigma_pu", "approach", "status", "procured_mw",
+                           "mean_operational_cost", "total_cost", "savings_pct"]
+        assert len(rows) == 5
+        assert any(r[3].startswith("infeasible: ") and "nan" in r[4:] for r in rows[1:])
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_sweep_infeasible_point_rows_parse_and_keep_their_own_status(toy):
+    """At mu = 0.1 approach I fails with a status that holds a comma; the
+    approach-II row still reports approach II's own outcome."""
+    tmp, grid, forecast = toy
+    manifest = tmp / "low.json"
+    manifest.write_text(json.dumps({
+        "grid": str(grid), "forecast": str(forecast), "sample_count": 40, "seed": 3,
+        "mu_grid_pu": [0.1], "sigma_grid_pu": [0.1], "output_dir": str(tmp / "low"),
+    }))
+    assert main(["sweep", "--manifest", str(manifest), "--kind", "mu-sigma"]) == EXIT_OK
+    header, *rows = _read_csv(tmp / "low" / "sweep_mu_sigma.csv")
+    assert all(len(r) == len(header) for r in rows)
+    status = {r[2]: r[3] for r in rows}
+    assert status["I"].startswith("infeasible: procurement infeasible")
+    assert "violating vertices (p.u.): [(-0.095996,)]" in status["I"]
+    assert status["II"] != status["I"]
+    assert "no affine policy can guarantee" in status["II"]
 
 
 def test_rate_worked_example_through_cli(tmp_path):

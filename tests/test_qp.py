@@ -1,23 +1,29 @@
 """Tests for the convex programming layer."""
 
+import dataclasses
+
 import numpy as np
+import scipy.sparse as sp
 import pytest
 
 from dlrplan import qp
 from dlrplan.qp import ConvexProgram, SolveStatus, VariableLayout, solve
 
 
-def solve_both_paths(program, monkeypatch):
-    """Solutions from the dense KKT path and, with it disabled, the sparse one.
+def with_blocks(program, blocks=None):
+    """The same program with its first ceil(n/2) columns declared one block.
 
-    Every program in this module is small enough for the dense path;
-    lowering ``DENSE_MAX_N`` below its size routes it through SuperLU.
+    One block is always valid: no row can touch two.  The other columns
+    link, so both the block elimination and the Schur complement run.
     """
-    dense = solve(program)
-    with monkeypatch.context() as m:
-        m.setattr(qp, "DENSE_MAX_N", 0)
-        sparse = solve(program)
-    return dense, sparse
+    if blocks is None:
+        blocks = (slice(0, (program.n + 1) // 2),)
+    return dataclasses.replace(program, blocks=blocks)
+
+
+def solve_both_paths(program):
+    """Solutions from the dense KKT factorization and from the block one."""
+    return solve(program), solve(with_blocks(program))
 
 
 def test_min_x_with_lower_bound():
@@ -57,31 +63,31 @@ def test_lp_with_general_inequalities():
     assert sol.objective == pytest.approx(-2.8, abs=1e-7)
 
 
-def test_infeasible_is_reported(monkeypatch):
-    for sol in solve_both_paths(ConvexProgram(c=[1.0], lb=[2.0], ub=[1.0]), monkeypatch):
+def test_infeasible_is_reported():
+    for sol in solve_both_paths(ConvexProgram(c=[1.0], lb=[2.0], ub=[1.0])):
         assert sol.status is SolveStatus.INFEASIBLE
 
 
-def test_infeasible_general_rows(monkeypatch):
+def test_infeasible_general_rows():
     # x <= 0 and x >= 1
     prog = ConvexProgram(c=[0.0], g_ineq=[[1.0], [-1.0]], h_ineq=[0.0, -1.0])
-    for sol in solve_both_paths(prog, monkeypatch):
+    for sol in solve_both_paths(prog):
         assert sol.status is SolveStatus.INFEASIBLE
 
 
-def test_inconsistent_equalities(monkeypatch):
+def test_inconsistent_equalities():
     prog = ConvexProgram(c=[0.0, 0.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0])
-    for sol in solve_both_paths(prog, monkeypatch):
+    for sol in solve_both_paths(prog):
         assert sol.status is SolveStatus.INFEASIBLE
 
 
-def test_unbounded_lp(monkeypatch):
-    for sol in solve_both_paths(ConvexProgram(c=[1.0], ub=[5.0]), monkeypatch):
+def test_unbounded_lp():
+    for sol in solve_both_paths(ConvexProgram(c=[1.0], ub=[5.0])):
         assert sol.status is SolveStatus.UNBOUNDED
 
 
-def test_unbounded_unconstrained(monkeypatch):
-    for sol in solve_both_paths(ConvexProgram(c=[1.0, 0.0]), monkeypatch):
+def test_unbounded_unconstrained():
+    for sol in solve_both_paths(ConvexProgram(c=[1.0, 0.0])):
         assert sol.status is SolveStatus.UNBOUNDED
 
 
@@ -91,7 +97,7 @@ def test_fixed_variable_pair_becomes_equality():
     assert sol.x == pytest.approx([2.0, 0.0], abs=1e-7)
 
 
-def test_duplicate_columns_reach_optimum(monkeypatch):
+def test_duplicate_columns_reach_optimum():
     """Two identical units: the online re-dispatch LP in miniature.
 
     Units 0 and 1 sit at one bus (equal columns, equal prices), unit 2
@@ -107,7 +113,8 @@ def test_duplicate_columns_reach_optimum(monkeypatch):
         g_ineq=np.vstack([row, -row]), h_ineq=[1.0 - 3.0, 1.0 + 3.0],
         lb=np.zeros(6), ub=np.full(6, 2.0),
     )
-    for sol in solve_both_paths(prog, monkeypatch):
+    # the default block holds units 0 and 1; the last one holds all six
+    for sol in (*solve_both_paths(prog), solve(with_blocks(prog, (slice(0, 6),)))):
         assert sol.optimal
         assert sol.objective == pytest.approx(50.0, rel=1e-8)
         assert sol.x[2] == pytest.approx(2.0, abs=1e-6)
@@ -162,7 +169,7 @@ def test_tightening_inequality_never_decreases_objective(seed):
         assert tight.objective >= base.objective - 1e-7 * (1 + abs(base.objective))
 
 
-def test_solution_residuals_within_contract(monkeypatch):
+def test_solution_residuals_within_contract():
     rng = np.random.default_rng(7)
     n = 12
     m = rng.normal(size=(n, n))
@@ -174,20 +181,20 @@ def test_solution_residuals_within_contract(monkeypatch):
     g = rng.normal(size=(6, n))
     h = g @ x_feas + rng.uniform(0.1, 1.0, size=6)
     prog = ConvexProgram(c=c, q=q, a_eq=a, b_eq=b, g_ineq=g, h_ineq=h)
-    for sol in solve_both_paths(prog, monkeypatch):
+    for sol in solve_both_paths(prog):
         assert sol.optimal
         assert np.linalg.norm(a @ sol.x - b, np.inf) <= 1e-6 * (1 + np.linalg.norm(b, np.inf))
         assert np.max(g @ sol.x - h) <= 1e-6 * (1 + np.linalg.norm(h, np.inf))
 
 
-def test_determinism(monkeypatch):
+def test_determinism():
     rng = np.random.default_rng(3)
     n = 6
     m = rng.normal(size=(n, n))
     q = m.T @ m + 0.3 * np.eye(n)
     c = rng.normal(size=n)
     prog = ConvexProgram(c=c, q=q, lb=-np.ones(n), ub=np.ones(n))
-    for a, b in zip(solve_both_paths(prog, monkeypatch), solve_both_paths(prog, monkeypatch)):
+    for a, b in zip(solve_both_paths(prog), solve_both_paths(prog)):
         assert np.array_equal(a.x, b.x)
         assert a.objective == b.objective
 
@@ -240,7 +247,7 @@ def test_rows_and_band_match_dense_reference():
         lay.rows((a, np.ones((2, 2))), (b, np.ones((1, 3))))
 
 
-def test_min_violation_slack_per_group(monkeypatch):
+def test_min_violation_slack_per_group():
     # Group 0 asks x <= 1 and x >= 3; the hard equality x = y and the hard
     # bound y >= 3 pin x at 3, so its slack is 2 (1 if the bound gave way).
     # Group 1 (y <= 10) holds.
@@ -249,13 +256,64 @@ def test_min_violation_slack_per_group(monkeypatch):
         g_ineq=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], h_ineq=[1.0, -3.0, 10.0],
         lb=[-np.inf, 3.0],
     )
-    for dense_max_n in (qp.DENSE_MAX_N, 0):
-        with monkeypatch.context() as m:
-            m.setattr(qp, "DENSE_MAX_N", dense_max_n)
-            slack = qp.min_violation(prog, [0, 0, 1])
+    for program in (prog, with_blocks(prog)):
+        slack = qp.min_violation(program, [0, 0, 1])
         assert slack == pytest.approx([2.0, 0.0], abs=1e-6)
 
 
 def test_min_violation_none_when_hard_part_infeasible():
     prog = ConvexProgram(c=[0.0], g_ineq=[[1.0]], h_ineq=[0.0], lb=[2.0], ub=[1.0])
     assert qp.min_violation(prog, [0]) is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_bordered_qp_matches_dense_factorization(seed):
+    """Blocks with their own equalities and rows, bordered by linking columns."""
+    rng = np.random.default_rng(200 + seed)
+    n_blocks, nb, nl = 4, 6, 5
+    n = n_blocks * nb + nl
+    link = slice(n_blocks * nb, n)
+    blocks = tuple(slice(i * nb, (i + 1) * nb) for i in range(n_blocks))
+    g_parts, a_parts = [], []
+    for sl in blocks:
+        g_b = np.zeros((8, n))
+        g_b[:, sl] = rng.normal(size=(8, nb))
+        g_b[:4, link] = rng.normal(size=(4, nl))
+        g_parts.append(g_b)
+        a_b = np.zeros((2, n))
+        a_b[:, sl] = rng.normal(size=(2, nb))
+        a_b[0, link] = rng.normal(size=nl)
+        a_parts.append(a_b)
+    g_link = np.zeros((3, n))
+    g_link[:, link] = rng.normal(size=(3, nl))
+    a_link = np.zeros((1, n))
+    a_link[0, link] = 1.0
+    g, a = np.vstack(g_parts + [g_link]), np.vstack(a_parts + [a_link])
+    x_feas = rng.uniform(-0.5, 0.5, size=n)
+    d = rng.uniform(0.1, 1.0, size=n)
+    d[blocks[0]] = 0.0                                 # an LP block
+    program = ConvexProgram(
+        c=rng.normal(size=n), q=sp.diags(d),
+        a_eq=a, b_eq=a @ x_feas, g_ineq=g, h_ineq=g @ x_feas + rng.uniform(0.1, 1.0, size=len(g)),
+        lb=np.full(n, -2.0), ub=np.full(n, 2.0),
+    )
+    dense, block = solve(program), solve(with_blocks(program, blocks))
+    assert dense.optimal and block.optimal
+    assert block.iterations == dense.iterations
+    assert block.objective == pytest.approx(dense.objective, rel=1e-8)
+    assert np.allclose(block.x, dense.x, atol=1e-8)
+
+
+def test_blocks_must_not_couple():
+    base = dict(c=np.zeros(4), g_ineq=[[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]], h_ineq=[1.0, 1.0])
+    ConvexProgram(**base, blocks=(slice(0, 1), slice(1, 2)))          # rows touch one block each
+    with pytest.raises(ValueError, match="couples two blocks"):
+        ConvexProgram(**base, blocks=(slice(0, 1), slice(2, 3)))
+    with pytest.raises(ValueError, match="couples two blocks"):
+        ConvexProgram(c=np.zeros(2), a_eq=[[1.0, 1.0]], b_eq=[1.0], blocks=(slice(0, 1), slice(1, 2)))
+    with pytest.raises(ValueError, match="couples two blocks"):
+        ConvexProgram(c=np.zeros(2), q=[[1.0, 0.5], [0.5, 1.0]], blocks=(slice(0, 1), slice(1, 2)))
+    with pytest.raises(ValueError, match="overlaps"):
+        ConvexProgram(**base, blocks=(slice(0, 2), slice(1, 3)))
+    with pytest.raises(ValueError, match="column range"):
+        ConvexProgram(**base, blocks=(slice(3, 5),))
