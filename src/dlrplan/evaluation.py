@@ -215,14 +215,41 @@ def procure_for_config(cfg: ScenarioConfig):
 
 
 def evaluate_scenario(cfg: ScenarioConfig) -> EvaluationReport:
-    """Procure per the scenario and Monte Carlo-evaluate each approach."""
-    procs = procure_for_config(cfg)
-    sq = status_quo_cost(cfg.grid, cfg.ptdf)
-    draws = draw_realizations(cfg.forecast, cfg.sample_count, cfg.seed)
-    rows = tuple(_approach_row(cfg, procs[label], draws, sq)
-                 for label in ("I", "II") if label in procs)
-    return EvaluationReport(status_quo_cost=sq, rows=rows,
+    """Procure per the scenario and Monte Carlo-evaluate each approach.
+
+    Raises the first approach's error when one cannot be procured.
+    """
+    sq, outcomes = _approach_outcomes(cfg)
+    for _, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return EvaluationReport(status_quo_cost=sq, rows=tuple(r for _, r in outcomes),
                             sample_count=cfg.sample_count, seed=cfg.seed)
+
+
+def _approach_outcomes(cfg: ScenarioConfig):
+    """The status-quo cost (None when it fails) and, per approach, its
+    report or the error that stopped it.
+
+    The approaches are procured and evaluated separately, so one that
+    fails leaves the other's report intact; the status quo and the
+    draws are shared.
+    """
+    labels = ("I", "II") if cfg.approach == "both" else (cfg.approach,)
+    try:
+        sq = status_quo_cost(cfg.grid, cfg.ptdf)
+    except (InfeasibleError, InputError) as exc:
+        return None, [(label, exc) for label in labels]
+    draws = draw_realizations(cfg.forecast, cfg.sample_count, cfg.seed)
+    out = []
+    for label in labels:
+        try:
+            proc = procure_for_config(replace(cfg, approach=label))[label]
+        except (InfeasibleError, InputError) as exc:
+            out.append((label, exc))
+            continue
+        out.append((label, _approach_row(cfg, proc, draws, sq)))
+    return sq, out
 
 
 def audit_robust_feasibility(cfg: ScenarioConfig, proc, count: int = 10_000,
@@ -252,27 +279,9 @@ def audit_robust_feasibility(cfg: ScenarioConfig, proc, count: int = 10_000,
 
 
 def _sweep_point(cfg: ScenarioConfig) -> list[tuple[str, ApproachReport | None, str]]:
-    """Each approach's report at one sweep point, with its status.
-
-    The approaches are procured and evaluated separately, so one that
-    fails leaves the other's row intact; the status quo and the draws
-    are shared.
-    """
-    labels = ("I", "II") if cfg.approach == "both" else (cfg.approach,)
-    try:
-        sq = status_quo_cost(cfg.grid, cfg.ptdf)
-    except (InfeasibleError, InputError) as exc:
-        return [(label, None, f"infeasible: {exc}") for label in labels]
-    draws = draw_realizations(cfg.forecast, cfg.sample_count, cfg.seed)
-    out = []
-    for label in labels:
-        try:
-            proc = procure_for_config(replace(cfg, approach=label))[label]
-        except (InfeasibleError, InputError) as exc:
-            out.append((label, None, f"infeasible: {exc}"))
-            continue
-        out.append((label, _approach_row(cfg, proc, draws, sq), "ok"))
-    return out
+    """Each approach's report at one sweep point, with its status."""
+    return [(label, None, f"infeasible: {r}") if isinstance(r, Exception) else (label, r, "ok")
+            for label, r in _approach_outcomes(cfg)[1]]
 
 
 def sweep_flow_limits(cfg: ScenarioConfig, limits_grid) -> list[dict]:

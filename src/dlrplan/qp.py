@@ -264,11 +264,12 @@ def solve(program: ConvexProgram, tol: float = 1e-9, max_iter: int = 100) -> Sol
         return Solution(SolveStatus.INFEASIBLE, iterations=res.iterations)
     if _has_unbounded_ray(q, c, a, g, blocks):
         return Solution(SolveStatus.UNBOUNDED, iterations=res.iterations)
-    # The retry shifts every KKT diagonal by a multiple of the matrix's own
-    # scale: barrier weights near their cap (1e14) can make it exactly
-    # singular, and a zero pivot's eps-sized stand-in then yields no step.
+    # The retry regularizes harder (reg = 1e-9) and also shifts every KKT
+    # diagonal by a multiple of the matrix's own scale: barrier weights near
+    # their cap (1e14) can make it exactly singular, and a zero pivot's
+    # eps-sized stand-in then yields no step.
     retry = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=2 * max_iter, blocks=blocks,
-                 shift=1e-14)
+                 reg=1e-9, shift=1e-14)
     if retry.status is SolveStatus.OPTIMAL or retry.status is SolveStatus.UNBOUNDED:
         return _finalize(retry, program)
     return Solution(SolveStatus.NUMERICAL_FAILURE, iterations=retry.iterations)
@@ -334,17 +335,9 @@ def _least_squares(a: sp.csr_matrix, b: np.ndarray):
 def _solve_equality_qp(q, c, a, b, x_eq) -> Solution:
     n = q.shape[0]
     me = a.shape[0]
-    kkt = sp.bmat([[q + _REG * sp.eye(n), a.T], [a, -_REG * sp.eye(me) if me else None]], format="csc") \
-        if me else (q + _REG * sp.eye(n)).tocsc()
-    rhs = np.concatenate([-c, b]) if me else -c
-    try:
-        lu = spla.splu(kkt)
-        sol = lu.solve(rhs)
-    except RuntimeError:
-        sol = None
-    if sol is None or not np.all(np.isfinite(sol)):
-        dense = kkt.toarray()
-        sol, *_ = np.linalg.lstsq(dense, rhs, rcond=None)
+    kkt = np.block([[q.toarray() + _REG * np.eye(n), a.T.toarray()],
+                    [a.toarray(), -_REG * np.eye(me)]])
+    sol = sla.lu_solve(_lu(kkt, n, 0.0), np.concatenate([-c, b]), check_finite=False)
     x = sol[:n]
     stat = q @ x + c + (a.T @ sol[n:] if me else 0.0)
     scale = 1.0 + np.linalg.norm(c, np.inf)
@@ -414,8 +407,8 @@ def _lu(mat: np.ndarray, n_x: int, shift: float):
     return lu, piv
 
 
-def _kkt(q, a, g, blocks, shift: float):
-    """Factorization of the KKT matrices ``[[Q + G'WG + _REG I, A'], [A, -_REG I]]``.
+def _kkt(q, a, g, blocks, reg: float, shift: float):
+    """Factorization of the KKT matrices ``[[Q + G'WG + reg I, A'], [A, -reg I]]``.
 
     Returns ``factor(w)``, which LU-factors the matrix for the inequality
     weights ``w`` and returns the solve function of the result.  Each
@@ -449,7 +442,7 @@ def _kkt(q, a, g, blocks, shift: float):
         q_l, a_l, g_l = q, a, g
     nl = q_l.shape[0]
     a_lt, g_lt = a_l.T, g_l.T
-    reg_eye_l, neg_reg_eye_l = _REG * np.eye(nl), -_REG * np.eye(a_l.shape[0])
+    reg_eye_l, neg_reg_eye_l = reg * np.eye(nl), -reg * np.eye(a_l.shape[0])
 
     def factor(w):
         s_xx = q_l + (g_lt * w[rows_l]) @ g_l
@@ -457,8 +450,8 @@ def _kkt(q, a, g, blocks, shift: float):
         for sl, eqs, rows, q_b, a_b, g_b in parts:
             nb = sl.stop - sl.start
             h_b = q_b + (g_b[:, :nb].T * w[rows]) @ g_b
-            k_b = np.block([[h_b[:, :nb] + _REG * np.eye(nb), a_b[:, :nb].T],
-                            [a_b[:, :nb], -_REG * np.eye(eqs.size)]])
+            k_b = np.block([[h_b[:, :nb] + reg * np.eye(nb), a_b[:, :nb].T],
+                            [a_b[:, :nb], -reg * np.eye(eqs.size)]])
             lu_b = _lu(k_b, nb, shift)
             cpl = np.vstack([h_b[:, nb:], a_b[:, nb:]])
             x_b = sla.lu_solve(lu_b, cpl, check_finite=False)
@@ -488,13 +481,13 @@ def _kkt(q, a, g, blocks, shift: float):
 
 
 def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, blocks=(),
-         shift: float = 0.0) -> _IpmResult:
+         reg: float = _REG, shift: float = 0.0) -> _IpmResult:
     n = q.shape[0]
     me, mi = a.shape[0], g.shape[0]
     if not blocks:
         # the KKT matrix is dense anyway; so are the residual products
         q, a, g = q.toarray(), a.toarray(), g.toarray()
-    factor = _kkt(q, a, g, blocks, shift)
+    factor = _kkt(q, a, g, blocks, reg, shift)
     at, gt = a.T, g.T
 
     x = x0.copy()

@@ -1,12 +1,13 @@
 """Monte Carlo evaluation and sweep tests (toy-grid scale)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dlrplan.affine_policy import procure_affine
-from dlrplan.errors import InputError
+from dlrplan.errors import InfeasibleError, InputError
 from dlrplan.evaluation import (
     ScenarioConfig,
     audit_robust_feasibility,
@@ -184,6 +185,21 @@ def test_sweep_mu_sigma_orderings():
         # savings grow with mu at fixed sigma
         assert by[(1.5, 0.05, approach)]["savings_pct"] >= \
             by[(1.3, 0.05, approach)]["savings_pct"] - 1e-6
+
+
+def test_evaluate_scenario_raises_the_error_each_sweep_row_reports():
+    # at mu = 0.1 neither approach can be procured; the sweep reports each
+    # approach's own error, and evaluate_scenario raises the same one
+    cfg = two_bus_cfg(sample_count=40, seed=3)
+    rows = {r["approach"]: r["status"] for r in sweep_mu_sigma(cfg, [0.1], [0.1])}
+    assert rows["I"] != rows["II"]
+    forecast = RatingForecast(mu=np.array([0.1]), sigma=np.array([[0.01]]),
+                              line_ids=cfg.ptdf.dlr_line_index)
+    for approach in ("both", "II"):
+        sub = two_bus_cfg(sample_count=40, seed=3, approach=approach)
+        with pytest.raises(InfeasibleError) as err:
+            evaluate_scenario(replace(sub, forecast=forecast))
+        assert f"infeasible: {err.value}" == rows["I" if approach == "both" else "II"]
 
 
 def test_sweep_mu_sigma_rejects_empty_grid():

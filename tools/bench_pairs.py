@@ -1,12 +1,13 @@
 """Paired benchmark runs of two checkouts of dlrplan.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --pairs 10 \
-        --seed 11 --seconds 10 --out BENCH_6.json
+        --seed 11 --out BENCH_6.json
 
 Runs ``perfbench/run.py`` of each checkout on every workload of
 ``BENCHMARK.json``, one process at a time, in pairs whose order
 alternates: even pairs run the parent first, odd pairs the change.
-Every run uses the same seed and seconds.  Writes, per workload and
+Every run uses the same seed and the ``run_seconds`` of the change's
+``BENCHMARK.json``.  Writes, per workload and
 end-to-end metric, each side's median, quartiles and minimum, the
 runs themselves, and how many pairs the change won (ties count for
 neither side).  The ``env:`` line of each side's runs is kept.
@@ -58,14 +59,12 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--workloads", nargs="*", default=None,
-                    help="default: every workload of BENCHMARK.json")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {w: {s: [] for s in sides} for w in workloads}
@@ -75,13 +74,13 @@ def main(argv=None) -> int:
         for w in workloads:
             for side in order:
                 t = time.perf_counter()
-                res = run_once(sides[side], w, args.seed, args.seconds)
+                res = run_once(sides[side], w, args.seed, seconds)
                 res["pair"], res["wall_s"] = i, time.perf_counter() - t
                 runs[w][side].append(res)
                 print(f"pair {i} {w} {side}: "
                       + json.dumps(res.get("metrics") or res.get("stderr")), flush=True)
 
-    doc = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    doc = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
            "checkouts": {s: {"dir": p.name, "git": git_rev(p)} for s, p in sides.items()},
            "env": {s: sorted({r["env"] for w in workloads for r in runs[w][s] if r["env"]})
                    for s in sides},
