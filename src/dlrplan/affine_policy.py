@@ -34,12 +34,15 @@ from .uncertainty import (
     EllipsoidSet,
     RatingForecast,
     build_polytope,
+    check_dlr_alignment,
     clip_polytope_z,
     truncated_deficit_expectation,
 )
 
 _TIE_EPS = 1e-7
 _DUST_EPS = 1e-9
+# A guarantee may not exceed the forecast mean plus this many standard deviations.
+_Y_CAP_SIGMA = 3.0
 
 
 @dataclass(frozen=True)
@@ -134,20 +137,14 @@ def _enforcement_points(e_set: EllipsoidSet, y_mw: np.ndarray, base: np.ndarray,
 
 
 def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
-                   y_mw, facets: int = 8, y_cap_sigma: float = 3.0,
-                   expected_deficit_mw: np.ndarray | None = None) -> PolicyProcurement:
+                   y_mw, facets: int = 8) -> PolicyProcurement:
     """Optimize dispatch, slopes D and reserve envelope for a given guarantee y.
 
-    ``y_mw`` must stay below mu + y_cap_sigma * sigma per line
-    (guaranteeing more than the forecast can deliver is rejected).
+    ``y_mw`` must stay below mu + 3 sigma per line (guaranteeing more
+    than the forecast can deliver is rejected).
     """
-    if tuple(e_set.line_ids or ()) not in ((), tuple(ptdf.dlr_line_index)):
-        raise InputError(
-            f"uncertainty set lines {e_set.line_ids} do not match grid DLR "
-            f"lines {ptdf.dlr_line_index}")
+    check_dlr_alignment(e_set, ptdf.dlr_line_index)
     k = len(ptdf.dlr_line_index)
-    if e_set.dim != k:
-        raise InputError(f"uncertainty set dimension {e_set.dim} != DLR line count {k}")
     base = ptdf.dlr_base_mw
     y = np.atleast_1d(np.asarray(y_mw, dtype=float))
     if y.size != k:
@@ -155,17 +152,14 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     if np.any(y < 0):
         raise InputError("guaranteed capacities must be >= 0")
     sd_mw = np.sqrt(np.diag(e_set.sigma())) * base
-    cap = e_set.mu * base + y_cap_sigma * sd_mw
+    cap = e_set.mu * base + _Y_CAP_SIGMA * sd_mw
     if np.any(y > cap + 1e-9):
         raise InputError(
-            f"y={y.tolist()} exceeds the conservative cap mu + {y_cap_sigma} sigma "
+            f"y={y.tolist()} exceeds the conservative cap mu + {_Y_CAP_SIGMA} sigma "
             f"= {cap.tolist()}")
 
-    if expected_deficit_mw is None:
-        f_pu = RatingForecast(mu=e_set.mu, sigma=e_set.sigma())
-        e_mw = base * truncated_deficit_expectation(f_pu, y / base)
-    else:
-        e_mw = np.asarray(expected_deficit_mw, dtype=float)
+    f_pu = RatingForecast(mu=e_set.mu, sigma=e_set.sigma())
+    e_mw = base * truncated_deficit_expectation(f_pu, y / base)
 
     delta_mw, deficits = _enforcement_points(e_set, y, base, facets)
     n_pts = delta_mw.shape[0]
@@ -299,8 +293,7 @@ def _binding_lines(grid, ptdf, delta_mw, deficits):
 
 
 def select_y(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
-             y_grid_mw, facets: int = 8,
-             y_cap_sigma: float = 3.0) -> tuple[np.ndarray, PolicyProcurement]:
+             y_grid_mw, facets: int = 8) -> tuple[np.ndarray, PolicyProcurement]:
     """Grid search over guarantee candidates; lowest planning cost wins.
 
     Ties break to the lexicographically smallest y.  Infeasible
@@ -314,8 +307,7 @@ def select_y(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     failures: list[str] = []
     for y in candidates:
         try:
-            pp = procure_affine(grid, ptdf, e_set, y, facets=facets,
-                                y_cap_sigma=y_cap_sigma)
+            pp = procure_affine(grid, ptdf, e_set, y, facets=facets)
         except (InfeasibleError, InputError) as exc:
             failures.append(f"y={y.tolist()}: {exc}")
             continue

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import InfeasibleError, InputError, NumericalError
+from .errors import InfeasibleError, InputError, NumericalError, read_json
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -60,11 +60,7 @@ def _read_json(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
         raise InputError(f"missing file: {p}")
-    with open(p) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{p}: invalid JSON ({exc})") from exc
+    return read_json(p)
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -89,11 +85,6 @@ def _aligned_forecast(path, ptdf):
 
     f = load_forecast(path)
     want = ptdf.dlr_line_index
-    if f.line_ids is None:
-        if f.dim != len(want):
-            raise InputError(
-                f"forecast dimension {f.dim} != DLR line count {len(want)}")
-        return f
     if set(f.line_ids) != set(want):
         raise InputError(
             f"forecast lines {sorted(f.line_ids)} do not match grid DLR lines "
@@ -152,17 +143,15 @@ def cmd_procure(args) -> int:
         return EXIT_OK
 
     e = build_ellipsoid(forecast, args.gamma)
-    if args.y:
-        y = np.asarray(_parse_float_list(args.y, "y"), dtype=float)
-        pp = ap.procure_affine(grid, ptdf, e, y, facets=args.facets)
-    elif args.y_grid:
+    if args.y_grid and not args.y:
         grid_y = [np.asarray(_parse_float_list(part, "y-grid entry"), dtype=float)
                   for part in args.y_grid.split(";") if part.strip()]
-        y, pp = ap.select_y(grid, ptdf, e, grid_y, facets=args.facets)
-    elif caps is not None:
-        pp = ap.procure_affine(grid, ptdf, e, caps, facets=args.facets)
+        _, pp = ap.select_y(grid, ptdf, e, grid_y, facets=args.facets)
     else:
-        raise InputError("approach II needs --y, --y-grid or --caps")
+        y = _parse_float_list(args.y, "y") if args.y else caps
+        if y is None:
+            raise InputError("approach II needs --y, --y-grid or --caps")
+        pp = ap.procure_affine(grid, ptdf, e, y, facets=args.facets)
     doc = ap.policy_procurement_to_doc(pp, grid, ptdf)
     doc["gamma"] = args.gamma
     path = out_dir / "procurement_II.json"
@@ -187,8 +176,11 @@ def _parse_realization(text: str, dlr_lines) -> "np.ndarray":
         if "=" not in part:
             raise InputError(f"bad realization entry {part!r}; use line=value")
         key, _, val = part.partition("=")
+        key = key.strip()
+        if key in values:
+            raise InputError(f"realization names line {key!r} twice")
         try:
-            values[key.strip()] = float(val)
+            values[key] = float(val)
         except ValueError as exc:
             raise InputError(f"bad realization value in {part!r}") from exc
     missing = [l for l in dlr_lines if l not in values]
@@ -198,6 +190,19 @@ def _parse_realization(text: str, dlr_lines) -> "np.ndarray":
     if extra:
         raise InputError(f"realization names unknown lines {extra}")
     return np.array([values[l] for l in dlr_lines])
+
+
+def _procurement_from_doc(doc: dict, grid, ptdf, where):
+    """The approach-I or approach-II procurement a report document holds;
+    ``where`` names the document in the error for any other approach."""
+    from . import affine_policy as ap
+    from . import robust_dispatch as rd
+
+    if doc.get("approach") == "I":
+        return rd.procurement_from_doc(doc, grid, ptdf)
+    if doc.get("approach") == "II":
+        return ap.policy_procurement_from_doc(doc, grid, ptdf)
+    raise InputError(f"{where}: unknown procurement approach")
 
 
 def cmd_operate(args) -> int:
@@ -210,21 +215,18 @@ def cmd_operate(args) -> int:
     doc = _read_json(args.procurement)
     delta = _parse_realization(args.realization, list(ptdf.dlr_line_index))
     names = [g.name for g in grid.generators]
-    if doc.get("approach") == "I":
-        proc = rd.procurement_from_doc(doc, grid, ptdf)
+    proc = _procurement_from_doc(doc, grid, ptdf, args.procurement)
+    if isinstance(proc, rd.ProcurementResult):
         act = rd.operate_online(grid, ptdf, proc, delta)
         plus, minus, cost = act.delta_plus, act.delta_minus, act.cost
-    elif doc.get("approach") == "II":
-        pp = ap.policy_procurement_from_doc(doc, grid, ptdf)
-        action = ap.policy_action(pp.policy, delta)
+    else:
+        pol = proc.policy
+        action = ap.policy_action(pol, delta)
         plus = np.maximum(action, 0.0)
         minus = np.minimum(action, 0.0)
         ga = grid.gen_arrays
-        deficit = pp.policy.deficit_mw(delta)
-        cost = float(ga.act_up @ (pp.policy.d_up @ deficit)
-                     + ga.act_dn @ (pp.policy.d_dn @ deficit))
-    else:
-        raise InputError(f"{args.procurement}: unknown procurement approach")
+        deficit = pol.deficit_mw(delta)
+        cost = float(ga.act_up @ (pol.d_up @ deficit) + ga.act_dn @ (pol.d_dn @ deficit))
     rows = [[names[i], plus[i], minus[i]] for i in range(len(names))]
     _write_csv(Path(args.output), ["generator", "delta_plus_mw", "delta_minus_mw"], rows)
     print(f"re-dispatch cost {cost:.4f} $ -> {args.output}")
@@ -244,10 +246,6 @@ _SUMMARY_METRICS = [
 
 
 def cmd_evaluate(args) -> int:
-    import numpy as np
-
-    from . import affine_policy as ap
-    from . import robust_dispatch as rd
     from .evaluation import ScenarioConfig, monte_carlo_eval, status_quo_cost
 
     manifest = _read_json(args.manifest)
@@ -262,9 +260,9 @@ def cmd_evaluate(args) -> int:
     seed = int(manifest.get("seed", 0))
 
     sq = status_quo_cost(grid, ptdf)
-    columns = {"status quo": {"dispatch_cost": sq, "procured_mw": 0.0,
-                              "procurement_cost": 0.0, "mean_operational_cost": 0.0,
-                              "total_cost": sq, "savings_pct": 0.0}}
+    # one column of _SUMMARY_METRICS values per label
+    sq_costs = {"dispatch_cost": sq, "total_cost": sq}
+    columns = {"status quo": [sq_costs.get(key, 0.0) for key, _ in _SUMMARY_METRICS]}
     for entry in manifest["procurements"]:
         for key in ("label", "path", "forecast"):
             if key not in entry:
@@ -274,31 +272,17 @@ def cmd_evaluate(args) -> int:
         cfg = ScenarioConfig(grid=grid, ptdf=ptdf, forecast=forecast,
                              gamma=float(manifest.get("gamma", 0.95)),
                              sample_count=sample_count, seed=seed)
-        if doc.get("approach") == "I":
-            proc = rd.procurement_from_doc(doc, grid, ptdf)
-        elif doc.get("approach") == "II":
-            proc = ap.policy_procurement_from_doc(doc, grid, ptdf)
-        else:
-            raise InputError(f"{entry['path']}: unknown procurement approach")
-        rep = monte_carlo_eval(cfg, proc)
-        row = rep.rows[0]
-        columns[entry["label"]] = {
-            "dispatch_cost": row.dispatch_cost,
-            "procured_mw": row.procured_mw,
-            "procurement_cost": row.procurement_cost,
-            "mean_operational_cost": row.mean_operational_cost,
-            "total_cost": row.total_cost,
-            "savings_pct": row.savings_pct,
-        }
+        proc = _procurement_from_doc(doc, grid, ptdf, entry["path"])
+        row = monte_carlo_eval(cfg, proc).rows[0]
+        columns[entry["label"]] = [getattr(row, key) for key, _ in _SUMMARY_METRICS]
         _write_csv(out_dir / f"samples_{entry['label']}.csv",
                    ["sample", "feasible"],
                    [[i, int(v)] for i, v in enumerate(row.feasible)])
 
-    labels = list(columns)
-    rows = [[pretty] + [columns[l][key] for l in labels]
-            for key, pretty in _SUMMARY_METRICS]
-    _write_csv(out_dir / "summary.csv", ["metric"] + labels, rows)
-    print(f"evaluated {len(labels) - 1} procurements over {sample_count} samples "
+    rows = [[pretty, *values]
+            for (_, pretty), values in zip(_SUMMARY_METRICS, zip(*columns.values()))]
+    _write_csv(out_dir / "summary.csv", ["metric", *columns], rows)
+    print(f"evaluated {len(columns) - 1} procurements over {sample_count} samples "
           f"-> {out_dir / 'summary.csv'}")
     return EXIT_OK
 
@@ -336,39 +320,31 @@ def cmd_sweep(args) -> int:
         if "limits_grid_mw" not in manifest:
             raise InputError("flow-limits sweep needs manifest field 'limits_grid_mw'")
         rows = sweep_flow_limits(cfg, manifest["limits_grid_mw"])
-        header = list(rows[0].keys())
-        _write_csv(out_dir / "sweep_flow_limits.csv", header,
-                   [[r[k] for k in header] for r in rows])
-        if args.emit_plot_data:
-            _emit_plot_data(out_dir, rows,
-                            x="cap_mw_1", y="cap_mw_2" if "cap_mw_2" in rows[0] else None,
-                            z="savings_pct", stem="plotdata_savings")
-        print(f"swept {len(manifest['limits_grid_mw'])} cap points "
-              f"-> {out_dir / 'sweep_flow_limits.csv'}")
+        path = out_dir / "sweep_flow_limits.csv"
+        axes = ["cap_mw_1"] + (["cap_mw_2"] if "cap_mw_2" in rows[0] else [])
+        message = f"swept {len(manifest['limits_grid_mw'])} cap points"
     else:
         for key in ("mu_grid_pu", "sigma_grid_pu"):
             if key not in manifest:
                 raise InputError(f"mu-sigma sweep needs manifest field {key!r}")
         rows = sweep_mu_sigma(cfg, manifest["mu_grid_pu"], manifest["sigma_grid_pu"])
-        header = list(rows[0].keys())
-        _write_csv(out_dir / "sweep_mu_sigma.csv", header,
-                   [[r[k] for k in header] for r in rows])
-        if args.emit_plot_data:
-            _emit_plot_data(out_dir, rows, x="mu_pu", y="sigma_pu",
-                            z="savings_pct", stem="plotdata_savings")
-        print(f"swept {len(rows)} (mu, sigma, approach) points "
-              f"-> {out_dir / 'sweep_mu_sigma.csv'}")
+        path = out_dir / "sweep_mu_sigma.csv"
+        axes = ["mu_pu", "sigma_pu"]
+        message = f"swept {len(rows)} (mu, sigma, approach) points"
+    header = list(rows[0].keys())
+    _write_csv(path, header, [[r[k] for k in header] for r in rows])
+    if args.emit_plot_data:
+        _emit_plot_data(out_dir, rows, axes)
+    print(f"{message} -> {path}")
     return EXIT_OK
 
 
-def _emit_plot_data(out_dir: Path, rows: list[dict], x: str, y: str | None,
-                    z: str, stem: str):
-    approaches = sorted({r["approach"] for r in rows})
-    for label in approaches:
-        sub = [r for r in rows if r["approach"] == label]
-        header = [x] + ([y] if y else []) + [z]
-        data = [[r[x]] + ([r[y]] if y else []) + [r[z]] for r in sub]
-        _write_csv(out_dir / f"{stem}_{label}.csv", header, data)
+def _emit_plot_data(out_dir: Path, rows: list[dict], axes: list[str]):
+    """One contour-ready table of savings over the sweep axes per approach."""
+    header = axes + ["savings_pct"]
+    for label in sorted({r["approach"] for r in rows}):
+        _write_csv(out_dir / f"plotdata_savings_{label}.csv", header,
+                   [[r[k] for k in header] for r in rows if r["approach"] == label])
 
 
 # -- entry point -----------------------------------------------------------------

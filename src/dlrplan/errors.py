@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one JSON reader.
 
 The CLI maps these onto its exit-code contract: input problems exit 3,
 infeasible optimizations exit 2, numerical failures exit 4.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class DlrPlanError(Exception):
@@ -38,3 +40,12 @@ class UncoveredRealizationError(InfeasibleError):
 
 class NumericalError(DlrPlanError):
     """A numerical method failed to converge or hit a degenerate system."""
+
+
+def read_json(path):
+    """Parse a JSON file; invalid JSON is an InputError naming ``path``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON ({exc})") from exc

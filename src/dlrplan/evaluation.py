@@ -46,7 +46,6 @@ class ScenarioConfig:
     sample_count: int = 1000
     seed: int = 0
     facets: int = 8
-    y_grid_mw: tuple[tuple[float, ...], ...] | None = None
     infeasibility_penalty: float = 10_000.0   # $ per uncovered sample
 
     def __post_init__(self):
@@ -90,12 +89,6 @@ class EvaluationReport:
     rows: tuple[ApproachReport, ...]
     sample_count: int
     seed: int
-
-    def row(self, label: str) -> ApproachReport:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        raise KeyError(label)
 
 
 def status_quo_cost(grid: GridModel, ptdf: PtdfMatrices) -> float:
@@ -204,11 +197,8 @@ def procure_for_config(cfg: ScenarioConfig):
             out["II"] = ap.procure_affine(cfg.grid, cfg.ptdf, e, caps,
                                           facets=cfg.facets)
         else:
-            if cfg.y_grid_mw is not None:
-                grid_y = [np.asarray(y, dtype=float) for y in cfg.y_grid_mw]
-            else:
-                grid_y = [frac * cfg.forecast.mu * cfg.ptdf.dlr_base_mw
-                          for frac in DEFAULT_Y_FRACTIONS]
+            grid_y = [frac * cfg.forecast.mu * cfg.ptdf.dlr_base_mw
+                      for frac in DEFAULT_Y_FRACTIONS]
             _, out["II"] = ap.select_y(cfg.grid, cfg.ptdf, e, grid_y,
                                        facets=cfg.facets)
     return out
@@ -278,10 +268,22 @@ def audit_robust_feasibility(cfg: ScenarioConfig, proc, count: int = 10_000,
     raise InputError(f"unsupported procurement type {type(proc).__name__}")
 
 
-def _sweep_point(cfg: ScenarioConfig) -> list[tuple[str, ApproachReport | None, str]]:
-    """Each approach's report at one sweep point, with its status."""
-    return [(label, None, f"infeasible: {r}") if isinstance(r, Exception) else (label, r, "ok")
-            for label, r in _approach_outcomes(cfg)[1]]
+# The report fields of each sweep's rows, in column order.
+_SWEEP_FIELDS = ("procured_mw", "dispatch_cost", "procurement_cost", "mean_operational_cost",
+                 "total_cost", "savings_pct", "feasibility_rate")
+_MU_SIGMA_FIELDS = ("procured_mw", "mean_operational_cost", "total_cost", "savings_pct")
+
+
+def _sweep_rows(cfg: ScenarioConfig, point: dict, fields) -> list[dict]:
+    """One row per approach at a sweep point: the point's coordinates, the
+    approach and its status, then its report's ``fields`` (NaN when the
+    approach failed)."""
+    rows = []
+    for label, r in _approach_outcomes(cfg)[1]:
+        failed = isinstance(r, Exception)
+        rows.append({**point, "approach": label, "status": f"infeasible: {r}" if failed else "ok",
+                     **{f: float("nan") if failed else getattr(r, f) for f in fields}})
+    return rows
 
 
 def sweep_flow_limits(cfg: ScenarioConfig, limits_grid) -> list[dict]:
@@ -291,28 +293,16 @@ def sweep_flow_limits(cfg: ScenarioConfig, limits_grid) -> list[dict]:
     infeasible at a cap is reported with a status instead of failing
     the sweep.
     """
+    limits_grid = list(limits_grid)
+    if not limits_grid:
+        raise InputError("limits_grid must be nonempty")
     rows: list[dict] = []
     for caps in limits_grid:
         caps_t = tuple(float(c) for c in np.atleast_1d(caps))
         sub = replace(cfg, flow_caps_mw=caps_t)
-        rows += [_sweep_row(caps_t, label, r, status) for label, r, status in _sweep_point(sub)]
+        rows += _sweep_rows(sub, {f"cap_mw_{i + 1}": c for i, c in enumerate(caps_t)},
+                            _SWEEP_FIELDS)
     return rows
-
-
-def _sweep_row(caps, label, r: ApproachReport | None, status: str) -> dict:
-    row = {f"cap_mw_{i + 1}": c for i, c in enumerate(caps)}
-    row.update({
-        "approach": label,
-        "status": status,
-        "procured_mw": r.procured_mw if r else float("nan"),
-        "dispatch_cost": r.dispatch_cost if r else float("nan"),
-        "procurement_cost": r.procurement_cost if r else float("nan"),
-        "mean_operational_cost": r.mean_operational_cost if r else float("nan"),
-        "total_cost": r.total_cost if r else float("nan"),
-        "savings_pct": r.savings_pct if r else float("nan"),
-        "feasibility_rate": r.feasibility_rate if r else float("nan"),
-    })
-    return row
 
 
 def sweep_mu_sigma(cfg: ScenarioConfig, mu_grid, sigma_grid) -> list[dict]:
@@ -335,16 +325,5 @@ def sweep_mu_sigma(cfg: ScenarioConfig, mu_grid, sigma_grid) -> list[dict]:
                 line_ids=cfg.forecast.line_ids,
             )
             sub = replace(cfg, forecast=forecast)
-            rows += [_mu_sigma_row(mu, sd, label, r, status)
-                     for label, r, status in _sweep_point(sub)]
+            rows += _sweep_rows(sub, {"mu_pu": mu, "sigma_pu": sd}, _MU_SIGMA_FIELDS)
     return rows
-
-
-def _mu_sigma_row(mu, sd, label, r: ApproachReport | None, status: str) -> dict:
-    return {
-        "mu_pu": mu, "sigma_pu": sd, "approach": label, "status": status,
-        "procured_mw": r.procured_mw if r else float("nan"),
-        "mean_operational_cost": r.mean_operational_cost if r else float("nan"),
-        "total_cost": r.total_cost if r else float("nan"),
-        "savings_pct": r.savings_pct if r else float("nan"),
-    }

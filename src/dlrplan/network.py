@@ -8,14 +8,13 @@ and the rest (NLR), whose limits are the static ratings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, read_json
 from .thermal import LineRatingSpec, rating_spec_from_mapping
 
 
@@ -302,11 +301,7 @@ _GEN_FIELDS = (
 def load_grid(source: str | Path | dict) -> GridModel:
     """Read and validate a grid document (path or already-parsed mapping)."""
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{source}: invalid JSON ({exc})") from exc
+        doc = read_json(source)
         where = str(source)
     else:
         doc = source

@@ -39,6 +39,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 PHASE1_TOL = 1e-7
+# Convergence tolerance and iteration limit of every solve.
+TOL = 1e-9
+MAX_ITER = 100
 _REG = 1e-11
 _HUGE = 1e13
 # Q is checked for positive semidefiniteness by its eigenvalues only in
@@ -198,7 +201,7 @@ class Solution:
         return self.status is SolveStatus.OPTIMAL
 
 
-def solve(program: ConvexProgram, tol: float = 1e-9, max_iter: int = 100) -> Solution:
+def solve(program: ConvexProgram) -> Solution:
     """Solve a convex program; statuses are reported, never silent garbage."""
     n = program.n
     q = program.q if program.q is not None else sp.csr_matrix((n, n))
@@ -252,12 +255,12 @@ def solve(program: ConvexProgram, tol: float = 1e-9, max_iter: int = 100) -> Sol
         return _solve_equality_qp(q, c, a, b, x_eq)
 
     blocks = program.blocks
-    res = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=max_iter, blocks=blocks)
+    res = _ipm(q, c, a, b, g, h, x_eq, tol=TOL, max_iter=MAX_ITER, blocks=blocks)
     if res.status is SolveStatus.OPTIMAL or res.status is SolveStatus.UNBOUNDED:
         return _finalize(res, program)
 
     # Main solve did not converge: certify feasibility before blaming numerics.
-    t_star = _phase1(a, b, g, h, x_eq, max_iter=max_iter, blocks=blocks)
+    t_star = _phase1(a, b, g, h, x_eq, max_iter=MAX_ITER, blocks=blocks)
     if t_star is None:
         return Solution(SolveStatus.NUMERICAL_FAILURE, iterations=res.iterations)
     if t_star > PHASE1_TOL:
@@ -268,7 +271,7 @@ def solve(program: ConvexProgram, tol: float = 1e-9, max_iter: int = 100) -> Sol
     # diagonal by a multiple of the matrix's own scale: barrier weights near
     # their cap (1e14) can make it exactly singular, and a zero pivot's
     # eps-sized stand-in then yields no step.
-    retry = _ipm(q, c, a, b, g, h, x_eq, tol=tol, max_iter=2 * max_iter, blocks=blocks,
+    retry = _ipm(q, c, a, b, g, h, x_eq, tol=TOL, max_iter=2 * MAX_ITER, blocks=blocks,
                  reg=1e-9, shift=1e-14)
     if retry.status is SolveStatus.OPTIMAL or retry.status is SolveStatus.UNBOUNDED:
         return _finalize(retry, program)
@@ -600,7 +603,7 @@ def _has_unbounded_ray(q, c, a, g, blocks) -> bool:
     g2 = sp.vstack(rows + [lo_rows], format="csr")
     h2 = np.concatenate(rhs + [np.ones(2 * n)])
     res = _ipm(sp.csr_matrix((n, n)), c, a1, b1, g2, h2, np.zeros(n),
-               tol=1e-9, max_iter=100, blocks=blocks)
+               tol=TOL, max_iter=MAX_ITER, blocks=blocks)
     if res.status is not SolveStatus.OPTIMAL:
         return False
     return float(c @ res.x) < -1e-7 * (1.0 + np.linalg.norm(c, np.inf))
@@ -621,7 +624,7 @@ def _phase1(a, b, g, h, x_eq, max_iter: int, blocks):
     t0 = max(1.0, float(np.max(g @ x_eq - h)) + 1.0) if mi else 1.0
     x0 = np.concatenate([x_eq, [t0]])
     q1 = sp.csr_matrix((n + 1, n + 1))
-    res = _ipm(q1, c1, a1, b, g1, h1, x0, tol=1e-9, max_iter=max_iter, blocks=blocks)
+    res = _ipm(q1, c1, a1, b, g1, h1, x0, tol=TOL, max_iter=max_iter, blocks=blocks)
     if res.status is not SolveStatus.OPTIMAL:
         return None
     return float(res.x[n])

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from . import qp
 from .errors import InfeasibleError, InputError, UncoveredRealizationError
 from .network import GridModel, PtdfMatrices
-from .uncertainty import PolytopeSet
+from .uncertainty import PolytopeSet, check_dlr_alignment
 
 # Deterministic preference for the lowest-index provider among equals.
 _TIE_EPS = 1e-7
@@ -52,17 +52,6 @@ class RedispatchAction:
     delta_plus: np.ndarray       # MW >= 0 per generator
     delta_minus: np.ndarray      # MW <= 0 per generator
     cost: float
-
-    @property
-    def net(self) -> np.ndarray:
-        return self.delta_plus + self.delta_minus
-
-
-def _check_alignment(grid: GridModel, ptdf: PtdfMatrices, line_ids):
-    if line_ids is not None and tuple(line_ids) != ptdf.dlr_line_index:
-        raise InputError(
-            f"uncertainty set lines {tuple(line_ids)} do not match grid DLR "
-            f"lines {ptdf.dlr_line_index}")
 
 
 def dc_opf(grid: GridModel, ptdf: PtdfMatrices,
@@ -104,10 +93,7 @@ def procure_vertex_robust(grid: GridModel, ptdf: PtdfMatrices, w: PolytopeSet,
     """
     if alpha < 0:
         raise InputError("alpha must be >= 0")
-    _check_alignment(grid, ptdf, w.line_ids)
-    k = len(ptdf.dlr_line_index)
-    if w.dim != k:
-        raise InputError(f"uncertainty set dimension {w.dim} != DLR line count {k}")
+    check_dlr_alignment(w, ptdf.dlr_line_index)
 
     ga = grid.gen_arrays
     verts_mw = np.atleast_2d(w.vertices) * ptdf.dlr_base_mw[None, :]

@@ -21,13 +21,12 @@ modeled, so results are independent of line length.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, read_json
 
 # Conservative weather behind a nominal (static) rating; used when a
 # rating spec does not override it.  Figures-of-merit: light oblique
@@ -251,25 +250,9 @@ def _conductor_from_mapping(obj: dict, where: str) -> ConductorParams:
     return ConductorParams(**kwargs)
 
 
-def load_conductor(path: str | Path) -> ConductorParams:
-    """Read a conductor JSON document."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: expected a JSON object")
-    return _conductor_from_mapping(obj, str(path))
-
-
 def load_rating_spec(path: str | Path) -> LineRatingSpec:
     """Read a rating-spec JSON document (conductor + voltage + NLR data)."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict) or "conductor" not in obj:
         raise InputError(f"{path}: expected an object with a 'conductor' section")
     return rating_spec_from_mapping(obj, str(path))

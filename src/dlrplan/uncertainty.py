@@ -19,7 +19,6 @@ prices the expected activation of an affine policy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,10 +26,11 @@ from pathlib import Path
 import numpy as np
 from scipy import special, stats
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, read_json
 
 DEFAULT_FACETS = 8
-DEFAULT_DIM_CAP = 6
+# Vertex enumeration is direct, so the dimension is capped.
+DIM_CAP = 6
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -189,6 +189,18 @@ class PolytopeSet:
         return bool(np.all(self.s @ np.asarray(z, dtype=float) <= self.h + tol))
 
 
+def check_dlr_alignment(u_set, dlr_line_index: tuple[str, ...]) -> None:
+    """Reject an uncertainty set whose named lines or dimension differ
+    from the grid's DLR lines; a set without line ids skips the id check."""
+    if u_set.line_ids is not None and tuple(u_set.line_ids) != dlr_line_index:
+        raise InputError(
+            f"uncertainty set lines {tuple(u_set.line_ids)} do not match grid DLR "
+            f"lines {dlr_line_index}")
+    k = len(dlr_line_index)
+    if u_set.dim != k:
+        raise InputError(f"uncertainty set dimension {u_set.dim} != DLR line count {k}")
+
+
 def _polygon_vertices_z(rho: float, facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regular polygon circumscribing the radius-sqrt(rho) circle."""
     r = math.sqrt(rho)
@@ -201,8 +213,7 @@ def _polygon_vertices_z(rho: float, facets: int) -> tuple[np.ndarray, np.ndarray
     return s, h, verts
 
 
-def build_polytope(e: EllipsoidSet, facets_per_2d_cycle: int = DEFAULT_FACETS,
-                   dim_cap: int = DEFAULT_DIM_CAP) -> PolytopeSet:
+def build_polytope(e: EllipsoidSet, facets_per_2d_cycle: int = DEFAULT_FACETS) -> PolytopeSet:
     """Conservative polyhedral outer approximation of the ellipsoid.
 
     Construction is direct: an interval for k = 1, a regular polygon
@@ -215,9 +226,9 @@ def build_polytope(e: EllipsoidSet, facets_per_2d_cycle: int = DEFAULT_FACETS,
     m = int(facets_per_2d_cycle)
     if m < 4:
         raise InputError(f"facets_per_2d_cycle must be >= 4, got {facets_per_2d_cycle}")
-    if k > dim_cap:
+    if k > DIM_CAP:
         raise CapacityError(
-            f"vertex enumeration capped at dimension {dim_cap}, got {k}")
+            f"vertex enumeration capped at dimension {DIM_CAP}, got {k}")
     r = math.sqrt(e.rho)
     if k == 1:
         s = np.array([[1.0], [-1.0]])
@@ -333,11 +344,7 @@ def truncated_deficit_expectation(f: RatingForecast, y) -> np.ndarray:
 
 def load_forecast(path: str | Path) -> RatingForecast:
     """Read a forecast document: per-line mu, covariance, lead time."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    doc = read_json(path)
     for key in ("lines", "mu_pu", "sigma_pu2"):
         if key not in doc:
             raise InputError(f"{path}: missing field {key!r}")

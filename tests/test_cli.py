@@ -162,6 +162,80 @@ def test_procure_approach_two_passthrough(toy):
     assert report["cost_dispatch"] == pytest.approx(pp.cost_dispatch, abs=1e-6)
 
 
+def test_procure_approach_two_caps_match_y(toy):
+    """Without --y or --y-grid, --caps is the guarantee y."""
+    tmp, grid, forecast = toy
+    for flag, out in (("--y", "by_y"), ("--caps", "by_caps")):
+        assert main(["procure", "--grid", str(grid), "--forecast", str(forecast),
+                     "--approach", "II", flag, "300", "--output-dir", str(tmp / out)]) == EXIT_OK
+    for name in ("procurement_II.json", "policy_II.json"):
+        assert (tmp / "by_caps" / name).read_bytes() == (tmp / "by_y" / name).read_bytes()
+
+
+def test_procure_approach_two_y_grid_matches_select_y(toy):
+    from dlrplan.affine_policy import policy_procurement_to_doc, select_y
+    from dlrplan.network import compute_ptdf, load_grid
+    from dlrplan.uncertainty import build_ellipsoid, load_forecast
+
+    tmp, grid, forecast = toy
+    assert main(["procure", "--grid", str(grid), "--forecast", str(forecast),
+                 "--approach", "II", "--y-grid", "280;300",
+                 "--output-dir", str(tmp / "out")]) == EXIT_OK
+    g = load_grid(grid)
+    ptdf = compute_ptdf(g)
+    _, pp = select_y(g, ptdf, build_ellipsoid(load_forecast(forecast), 0.95), [[280.0], [300.0]])
+    want = json.loads(json.dumps(dict(policy_procurement_to_doc(pp, g, ptdf), gamma=0.95)))
+    assert json.loads((tmp / "out" / "procurement_II.json").read_text()) == want
+
+
+def test_procure_approach_two_without_guarantee_exits_3(toy, capsys):
+    tmp, grid, forecast = toy
+    code = main(["procure", "--grid", str(grid), "--forecast", str(forecast),
+                 "--approach", "II", "--output-dir", str(tmp / "out")])
+    assert code == EXIT_INPUT
+    assert "approach II needs --y, --y-grid or --caps" in capsys.readouterr().err
+
+
+def test_operate_approach_two_applies_the_policy(toy, capsys):
+    """The action CSV is policy_action split into its plus and minus parts."""
+    from dlrplan.affine_policy import policy_action, policy_procurement_from_doc
+    from dlrplan.network import compute_ptdf, load_grid
+
+    tmp, grid, forecast = toy
+    assert main(["procure", "--grid", str(grid), "--forecast", str(forecast),
+                 "--approach", "II", "--y", "300", "--output-dir", str(tmp / "out")]) == EXIT_OK
+    capsys.readouterr()
+    report = tmp / "out" / "procurement_II.json"
+    action_csv = tmp / "action.csv"
+    assert main(["operate", "--grid", str(grid), "--procurement", str(report),
+                 "--realization", "1-2=1.0", "--output", str(action_csv)]) == EXIT_OK
+    assert capsys.readouterr().out == f"re-dispatch cost 3500.0000 $ -> {action_csv}\n"
+
+    g = load_grid(grid)
+    ptdf = compute_ptdf(g)
+    pp = policy_procurement_from_doc(json.loads(report.read_text()), g, ptdf)
+    action = policy_action(pp.policy, [1.0])
+    assert _read_csv(action_csv) == [["generator", "delta_plus_mw", "delta_minus_mw"]] + [
+        [gen.name, "%.10g" % max(a, 0.0), "%.10g" % min(a, 0.0)]
+        for gen, a in zip(g.generators, action)]
+    assert action[0] < 0 < action[1]
+
+
+def test_operate_repeated_realization_line_exits_3(toy, capsys):
+    """0.2 p.u. alone is uncovered; a later 1.5 for the same line must not
+    silently replace it."""
+    tmp, grid, forecast = toy
+    main(["procure", "--grid", str(grid), "--forecast", str(forecast),
+          "--approach", "I", "--output-dir", str(tmp / "out")])
+    capsys.readouterr()
+    code = main(["operate", "--grid", str(grid),
+                 "--procurement", str(tmp / "out" / "procurement_I.json"),
+                 "--realization", "1-2=0.2,1-2=1.5", "--output", str(tmp / "a.csv")])
+    assert code == EXIT_INPUT
+    assert "1-2" in capsys.readouterr().err
+    assert not (tmp / "a.csv").exists()
+
+
 def test_procure_mismatched_dlr_lines_exits_3(toy):
     tmp, grid, _ = toy
     bad = tmp / "bad_forecast.json"
@@ -260,6 +334,19 @@ def test_sweep_flow_limits_single_point_and_plot_data(toy):
     assert len(table) == 3  # header + one row per approach
     assert (tmp / "sweep_out" / "plotdata_savings_I.csv").exists()
     assert (tmp / "sweep_out" / "plotdata_savings_II.csv").exists()
+
+
+def test_sweep_flow_limits_empty_grid_exits_3(toy, capsys):
+    tmp, grid, forecast = toy
+    manifest = tmp / "sweep.json"
+    manifest.write_text(json.dumps({
+        "grid": str(grid), "forecast": str(forecast), "limits_grid_mw": [],
+        "output_dir": str(tmp / "sweep_out"),
+    }))
+    code = main(["sweep", "--manifest", str(manifest), "--kind", "flow-limits"])
+    assert code == EXIT_INPUT
+    assert "limits_grid" in capsys.readouterr().err
+    assert not (tmp / "sweep_out" / "sweep_flow_limits.csv").exists()
 
 
 def test_sweep_reruns_byte_identical(toy):

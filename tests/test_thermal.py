@@ -14,7 +14,6 @@ from dlrplan.thermal import (
     WeatherSample,
     ampacity,
     heat_terms,
-    load_conductor,
     load_rating_spec,
     rating_mw,
     rating_pu,
@@ -210,18 +209,6 @@ def test_weather_csv_bad_row_reports_line(tmp_path):
     )
     with pytest.raises(InputError, match=":3"):
         read_weather_csv(p)
-
-
-def test_conductor_json_loader(tmp_path, drake):
-    p = tmp_path / "cond.json"
-    p.write_text(
-        '{"diameter": 0.02814, "resistance_at_t_low": 7.283e-5, "t_low": 25,'
-        ' "resistance_at_t_high": 8.688e-5, "t_high": 75, "emissivity": 0.8,'
-        ' "absorptivity": 0.8, "max_temperature": 100}'
-    )
-    cond = load_conductor(p)
-    assert cond.diameter == drake.diameter
-    assert cond.elevation == 0.0
 
 
 def test_rating_spec_json_loader(tmp_path, drake_spec):

@@ -10,7 +10,8 @@ Every run uses the same seed and the ``run_seconds`` of the change's
 ``BENCHMARK.json``.  Writes, per workload and
 end-to-end metric, each side's median, quartiles and minimum, the
 runs themselves, and how many pairs the change won (ties count for
-neither side).  The ``env:`` line of each side's runs is kept.
+neither side).  The ``env:`` line of each side's runs is kept, and so
+is each side's ``src/dlrplan`` line count, the size the roadmap tracks.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ def git_rev(root: Path) -> str | None:
     out = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                          capture_output=True, text=True)
     return out.stdout.strip() if out.returncode == 0 else None
+
+
+def src_lines(root: Path) -> int:
+    """Lines of the package's modules, as ``wc -l src/dlrplan/*.py`` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "dlrplan").glob("*.py"))
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -81,7 +87,8 @@ def main(argv=None) -> int:
                       + json.dumps(res.get("metrics") or res.get("stderr")), flush=True)
 
     doc = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
-           "checkouts": {s: {"dir": p.name, "git": git_rev(p)} for s, p in sides.items()},
+           "checkouts": {s: {"dir": p.name, "git": git_rev(p), "src_lines": src_lines(p)}
+                         for s, p in sides.items()},
            "env": {s: sorted({r["env"] for w in workloads for r in runs[w][s] if r["env"]})
                    for s in sides},
            "workloads": {}}
