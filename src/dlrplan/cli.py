@@ -60,7 +60,10 @@ def _read_json(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
         raise InputError(f"missing file: {p}")
-    return read_json(p)
+    doc = read_json(p)
+    if not isinstance(doc, dict):
+        raise InputError(f"{p}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -252,6 +255,22 @@ def cmd_evaluate(args) -> int:
     for key in ("grid", "procurements", "output_dir"):
         if key not in manifest:
             raise InputError(f"{args.manifest}: missing manifest field {key!r}")
+    entries = manifest["procurements"]
+    if not isinstance(entries, list):
+        raise InputError(f"{args.manifest}: 'procurements' must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InputError(f"procurement entry {entry!r} is not an object")
+        for key in ("label", "path", "forecast"):
+            if key not in entry:
+                raise InputError(f"procurement entry missing {key!r}")
+    # a label names a summary column and a samples_<label>.csv file
+    labels = [str(entry["label"]) for entry in entries]
+    if "status quo" in labels:
+        raise InputError("procurement label 'status quo' is reserved")
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise InputError(f"procurement labels {repeated} repeat")
     root = Path(args.manifest).parent
     grid, ptdf = _load_grid_and_ptdf(_resolve(root, manifest["grid"]))
     out_dir = Path(_resolve(root, manifest["output_dir"]))
@@ -263,10 +282,7 @@ def cmd_evaluate(args) -> int:
     # one column of _SUMMARY_METRICS values per label
     sq_costs = {"dispatch_cost": sq, "total_cost": sq}
     columns = {"status quo": [sq_costs.get(key, 0.0) for key, _ in _SUMMARY_METRICS]}
-    for entry in manifest["procurements"]:
-        for key in ("label", "path", "forecast"):
-            if key not in entry:
-                raise InputError(f"procurement entry missing {key!r}")
+    for entry in entries:
         doc = _read_json(_resolve(root, entry["path"]))
         forecast = _aligned_forecast(_resolve(root, entry["forecast"]), ptdf)
         cfg = ScenarioConfig(grid=grid, ptdf=ptdf, forecast=forecast,

@@ -14,7 +14,11 @@ factored with LAPACK's dense LU.  A program may declare ``blocks``,
 column ranges whose variables couple only to themselves and to the
 linking columns outside every block (approach I's per-vertex actions
 are such blocks); each block is then eliminated by its own LU and the
-linking variables are solved from the Schur complement.
+linking variables are solved from the Schur complement.  The products
+``G'WG`` in those matrices are formed from the sparse rows of G by row
+shape: bound rows add to the diagonal, short rows scatter their few
+entries, and the long rows of each column support form a dense product
+over those columns only.
 
 ``VariableLayout`` names the variable blocks of a program and builds
 its constraint rows over them.  ``min_violation`` is the elastic LP
@@ -47,6 +51,11 @@ _HUGE = 1e13
 # Q is checked for positive semidefiniteness by its eigenvalues only in
 # programs with at most this many variables.
 DENSE_MAX_N = 400
+# Adding a product back into the Gram costs about as much as multiplying
+# this many rows over its columns (single-threaded OpenBLAS, 63-315
+# columns), so long rows whose column support has fewer rows share one
+# product instead.
+_GROUP_ROWS = 64
 
 
 class SolveStatus(str, Enum):
@@ -176,7 +185,7 @@ class ConvexProgram:
             label = _block_labels(blocks, n)
             for name in ("a_eq", "g_ineq"):
                 m = getattr(self, name)
-                if m is not None and _row_blocks(m, label)[2]:
+                if m is not None and _row_blocks(m, label)[1]:
                     raise ValueError(f"a row of {name} couples two blocks")
             if self.q is not None:
                 q = self.q.tocoo()
@@ -373,8 +382,8 @@ def _block_labels(blocks, n: int) -> np.ndarray:
 
 
 def _row_blocks(m, label: np.ndarray):
-    """Per row of ``m``: the block it touches (-1 for none) and whether it
-    touches a linking column; and whether any row touches two blocks."""
+    """Per row of ``m``, the block it touches (-1 for none); and whether
+    any row touches two blocks."""
     m = sp.csr_matrix(m)
     lab = label[m.indices]
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
@@ -383,8 +392,62 @@ def _row_blocks(m, label: np.ndarray):
     lo = np.full(m.shape[0], label.size)
     np.maximum.at(hi, rows[inb], lab[inb])
     np.minimum.at(lo, rows[inb], lab[inb])
-    links = np.bincount(rows[~inb], minlength=m.shape[0]) > 0
-    return hi, links, bool(np.any((hi >= 0) & (lo != hi)))
+    return hi, bool(np.any((hi >= 0) & (lo != hi)))
+
+
+def _gram(m, rows: np.ndarray):
+    """``gram(w)``: the dense ``M' diag(w[rows]) M`` of a sparse ``m``.
+
+    Row ``i`` of ``m`` carries the weight ``w[rows[i]]``.  The product is
+    formed by row shape, once classified here: a row with one entry adds
+    ``w v^2`` to the diagonal, a short row (nnz^2 <= k for k columns)
+    scatters its few products, and long rows are grouped by column
+    support, each group of at least ``_GROUP_ROWS`` rows one dense
+    product over its own columns only; the other long rows form one
+    dense product over the union of their columns.
+    """
+    m = sp.csr_matrix(m, copy=True)
+    m.sum_duplicates()      # sorted column indices: equal supports compare equal
+    k, ptr = m.shape[1], m.indptr
+    nnz = np.diff(ptr)
+    one = np.flatnonzero(nnz == 1)
+    d_col, d_val, d_row = m.indices[ptr[one]], m.data[ptr[one]] ** 2, rows[one]
+    s_idx, s_val, s_row = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0, dtype=int)]
+    short = np.flatnonzero((nnz > 1) & (nnz * nnz <= k))
+    for length in np.unique(nnz[short]):
+        r = short[nnz[short] == length]
+        pos = ptr[r][:, None] + np.arange(length)
+        c, v = m.indices[pos].astype(np.int64), m.data[pos]
+        s_idx.append((c[:, :, None] * k + c[:, None, :]).ravel())
+        s_val.append((v[:, :, None] * v[:, None, :]).ravel())
+        s_row.append(np.repeat(rows[r], length * length))
+    s_idx, s_val, s_row = np.concatenate(s_idx), np.concatenate(s_val), np.concatenate(s_row)
+    supports: dict[bytes, list[int]] = {}
+    for r in np.flatnonzero(nnz * nnz > k):
+        supports.setdefault(m.indices[ptr[r]:ptr[r + 1]].tobytes(), []).append(r)
+    groups = [r for r in supports.values() if len(r) >= _GROUP_ROWS]
+    rest = [i for r in supports.values() if len(r) < _GROUP_ROWS for i in r]
+    long = []
+    for r in groups + [rest] * bool(rest):
+        sub = m[r]
+        cols = np.unique(sub.indices).astype(np.int64)
+        flat = None if cols.size == k else (cols[:, None] * k + cols).ravel()
+        long.append((rows[r], sub[:, cols].toarray(), flat))
+
+    def gram(w):
+        if s_idx.size:
+            out = np.bincount(s_idx, weights=w[s_row] * s_val, minlength=k * k).reshape(k, k)
+        else:
+            out = np.zeros((k, k))
+        out.flat[::k + 1] += np.bincount(d_col, weights=w[d_row] * d_val, minlength=k)
+        for r, vals, flat in long:
+            prod = (vals.T * w[r]) @ vals
+            if flat is None:
+                out += prod
+            else:
+                out.ravel()[flat] += prod.ravel()
+        return out
+    return gram
 
 
 def _lu(mat: np.ndarray, n_x: int, shift: float):
@@ -418,41 +481,43 @@ def _kkt(q, a, g, blocks, reg: float, shift: float):
     block's variables, with the equalities that touch the block, are
     eliminated by the LU of their own augmented matrix; the linking
     variables and the remaining equalities are solved from the Schur
-    complement.  Without blocks that complement is the whole matrix, and
-    ``q``, ``a`` and ``g`` are dense; with blocks they are sparse.
-    ``shift`` is passed on to ``_lu``.
+    complement.  Without blocks that complement is the whole matrix.
+    ``q``, ``a`` and ``g`` are sparse; every ``G'WG`` is formed by
+    ``_gram`` from the rows of ``g`` it covers: a block's from its own
+    rows over the block and the linking columns (which also gives those
+    rows' linking part), the complement's from the rows that touch no
+    block.  ``shift`` is passed on to ``_lu``.
     """
     n, me = q.shape[0], a.shape[0]
+    label = _block_labels(blocks, n)
+    g_blk, a_blk = _row_blocks(g, label)[0], _row_blocks(a, label)[0]
+    link, eq_l = np.flatnonzero(label < 0), np.flatnonzero(a_blk < 0)
+
+    def part(m, rows, cols):
+        return m[rows][:, cols].toarray()
+
+    def gram(rows, cols):
+        return _gram(g[rows][:, cols], rows)
+
+    rows_l = np.flatnonzero(g_blk < 0)
+    q_l, a_l, gram_l = part(q, link, link), part(a, eq_l, link), gram(rows_l, link)
     parts = []
-    if blocks:
-        label = _block_labels(blocks, n)
-        g_blk, g_links, _ = _row_blocks(g, label)
-        a_blk = _row_blocks(a, label)[0]
-        link, eq_l = np.flatnonzero(label < 0), np.flatnonzero(a_blk < 0)
-        # block rows enter the linking product only through their linking entries
-        rows_l = np.flatnonzero((g_blk < 0) | g_links)
-
-        def part(m, rows, cols):
-            return m[rows][:, cols].toarray()
-
-        q_l, a_l, g_l = part(q, link, link), part(a, eq_l, link), part(g, rows_l, link)
-        for i, sl in enumerate(blocks):
-            cols = np.r_[sl, link]
-            rows, eqs = np.flatnonzero(g_blk == i), np.flatnonzero(a_blk == i)
-            parts.append((sl, eqs, rows, part(q, sl, cols), part(a, eqs, cols), part(g, rows, cols)))
-    else:
-        rows_l = slice(None)
-        q_l, a_l, g_l = q, a, g
-    nl = q_l.shape[0]
-    a_lt, g_lt = a_l.T, g_l.T
-    reg_eye_l, neg_reg_eye_l = reg * np.eye(nl), -reg * np.eye(a_l.shape[0])
+    for i, sl in enumerate(blocks):
+        cols = np.r_[sl, link]
+        rows, eqs = np.flatnonzero(g_blk == i), np.flatnonzero(a_blk == i)
+        parts.append((sl, eqs, part(q, sl, cols), part(a, eqs, cols), gram(rows, cols)))
+    nl = link.size
+    a_lt = a_l.T
+    reg_eye_l, neg_reg_eye_l = reg * np.eye(nl), -reg * np.eye(eq_l.size)
 
     def factor(w):
-        s_xx = q_l + (g_lt * w[rows_l]) @ g_l
+        s_xx = q_l + gram_l(w)
         elim = []
-        for sl, eqs, rows, q_b, a_b, g_b in parts:
+        for sl, eqs, q_b, a_b, gram_b in parts:
             nb = sl.stop - sl.start
-            h_b = q_b + (g_b[:, :nb].T * w[rows]) @ g_b
+            g_b = gram_b(w)
+            h_b = q_b + g_b[:nb]
+            s_xx += g_b[nb:, nb:]
             k_b = np.block([[h_b[:, :nb] + reg * np.eye(nb), a_b[:, :nb].T],
                             [a_b[:, :nb], -reg * np.eye(eqs.size)]])
             lu_b = _lu(k_b, nb, shift)
@@ -487,10 +552,10 @@ def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, blocks=(),
          reg: float = _REG, shift: float = 0.0) -> _IpmResult:
     n = q.shape[0]
     me, mi = a.shape[0], g.shape[0]
+    factor = _kkt(q, a, g, blocks, reg, shift)
     if not blocks:
         # the KKT matrix is dense anyway; so are the residual products
         q, a, g = q.toarray(), a.toarray(), g.toarray()
-    factor = _kkt(q, a, g, blocks, reg, shift)
     at, gt = a.T, g.T
 
     x = x0.copy()
@@ -547,8 +612,9 @@ def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, blocks=(),
                 return None
             dx = sol[:n]
             dy = sol[n:] if me else np.zeros(0)
-            ds = -rg - g @ dx
-            dz = -s_inv_rc + w * rg + w * (g @ dx)
+            g_dx = g @ dx
+            ds = -rg - g_dx
+            dz = -s_inv_rc + w * rg + w * g_dx
             return dx, dy, ds, dz
 
         step_aff = newton(z.copy())

@@ -236,6 +236,17 @@ def test_operate_repeated_realization_line_exits_3(toy, capsys):
     assert not (tmp / "a.csv").exists()
 
 
+def test_operate_procurement_not_an_object_exits_3(toy, capsys):
+    tmp, grid, _ = toy
+    doc = tmp / "arr.json"
+    doc.write_text("[]")
+    code = main(["operate", "--grid", str(grid), "--procurement", str(doc),
+                 "--realization", "1-2=1.2", "--output", str(tmp / "a.csv")])
+    assert code == EXIT_INPUT
+    assert "expected a JSON object" in capsys.readouterr().err
+    assert not (tmp / "a.csv").exists()
+
+
 def test_procure_mismatched_dlr_lines_exits_3(toy):
     tmp, grid, _ = toy
     bad = tmp / "bad_forecast.json"
@@ -316,6 +327,34 @@ def test_evaluate_missing_artifact_exits_3(toy):
         "output_dir": str(tmp / "eval"),
     }))
     assert main(["evaluate", "--manifest", str(manifest)]) == EXIT_INPUT
+
+
+def test_evaluate_procurement_entry_not_an_object_exits_3(toy, capsys):
+    tmp, grid, _ = toy
+    manifest = tmp / "manifest.json"
+    manifest.write_text(json.dumps({"grid": str(grid), "procurements": [1],
+                                    "output_dir": str(tmp / "eval")}))
+    assert main(["evaluate", "--manifest", str(manifest)]) == EXIT_INPUT
+    assert "not an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", [["X", "X"], ["status quo"]])
+def test_evaluate_repeated_or_reserved_label_exits_3(toy, labels, capsys):
+    """A label names a summary column and a samples file; a repeat or the
+    status-quo column's own name must not silently replace another."""
+    tmp, grid, forecast = toy
+    assert main(["procure", "--grid", str(grid), "--forecast", str(forecast),
+                 "--approach", "I", "--output-dir", str(tmp / "out")]) == EXIT_OK
+    manifest = tmp / "manifest.json"
+    manifest.write_text(json.dumps({
+        "grid": str(grid), "sample_count": 20, "output_dir": str(tmp / "eval"),
+        "procurements": [{"label": label, "path": str(tmp / "out" / "procurement_I.json"),
+                          "forecast": str(forecast)} for label in labels],
+    }))
+    capsys.readouterr()
+    assert main(["evaluate", "--manifest", str(manifest)]) == EXIT_INPUT
+    assert labels[0] in capsys.readouterr().err
+    assert not (tmp / "eval").exists()
 
 
 def test_sweep_flow_limits_single_point_and_plot_data(toy):

@@ -317,3 +317,64 @@ def test_blocks_must_not_couple():
         ConvexProgram(**base, blocks=(slice(0, 2), slice(1, 3)))
     with pytest.raises(ValueError, match="column range"):
         ConvexProgram(**base, blocks=(slice(3, 5),))
+
+
+def _shaped_rows(rng, k, full_rows=3):
+    """CSR rows of every shape the Gram helper tells apart, in random order
+    and with each row's column indices unsorted: empty rows, one-entry
+    rows, short rows (nnz^2 <= k), a group of ``qp._GROUP_ROWS`` long rows
+    sharing one support, a smaller group sharing another, and
+    ``full_rows`` long rows whose support is every column."""
+    shared = [rng.choice(k, size=int(np.sqrt(k)) + 3, replace=False) for _ in range(2)]
+    supports = ([[]] * 2 + [rng.choice(k, 1) for _ in range(6)]
+                + [rng.choice(k, size=rng.integers(2, int(np.sqrt(k)) + 1), replace=False)
+                   for _ in range(10)]
+                + [rng.permutation(shared[0]) for _ in range(qp._GROUP_ROWS)]
+                + [rng.permutation(shared[1]) for _ in range(5)]
+                + [rng.permutation(k) for _ in range(full_rows)])
+    order = rng.permutation(len(supports))
+    cols = [np.asarray(supports[i], dtype=int) for i in order]
+    indptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])
+    m = sp.csr_matrix((rng.normal(size=indptr[-1]), np.concatenate(cols), indptr),
+                      shape=(len(cols), k))
+    assert not m.has_sorted_indices
+    return m
+
+
+@pytest.mark.parametrize("full_rows", [3, qp._GROUP_ROWS])
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_matches_dense_product(seed, full_rows):
+    rng = np.random.default_rng(300 + seed)
+    m = _shaped_rows(rng, 36, full_rows)
+    w = rng.uniform(1e-3, 1e3, size=m.shape[0] + 4)
+    rows = rng.permutation(w.size)[:m.shape[0]]       # row i carries w[rows[i]]
+    dense = m.toarray()
+    want = dense.T @ (w[rows][:, None] * dense)
+    got = qp._gram(m, rows)(w)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not m.has_sorted_indices                   # the caller's matrix is left alone
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_and_linking_grams_sum_to_full_gram(seed):
+    """As ``_kkt`` splits them: each block's Gram over its own rows and
+    (block, link) columns, plus the Gram of the rows that touch no block
+    over the linking columns, is the whole ``G'WG``."""
+    rng = np.random.default_rng(400 + seed)
+    blocks, link = (np.arange(0, 12), np.arange(12, 30)), np.arange(30, 40)
+    parts = []
+    for cols in (np.r_[blocks[0], link], np.r_[blocks[1], link], link):
+        sub = _shaped_rows(rng, cols.size).tocoo()
+        parts.append(sp.csr_matrix((sub.data, (sub.row, cols[sub.col])), shape=(sub.shape[0], 40)))
+    g = sp.vstack(parts, format="csr")
+    w = rng.uniform(1e-3, 1e3, size=g.shape[0])
+    starts = np.cumsum([0] + [p.shape[0] for p in parts])
+    total = np.zeros((40, 40))
+    for i, cols in enumerate(blocks):
+        rows, ix = np.arange(starts[i], starts[i + 1]), np.r_[cols, link]
+        total[np.ix_(ix, ix)] += qp._gram(g[rows][:, ix], rows)(w)
+    rows = np.arange(starts[-2], starts[-1])
+    total[np.ix_(link, link)] += qp._gram(g[rows][:, link], rows)(w)
+    dense = g.toarray()
+    want = dense.T @ (w[:, None] * dense)
+    assert np.abs(total - want).max() <= 1e-12 * np.abs(want).max()

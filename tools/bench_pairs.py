@@ -9,7 +9,9 @@ alternates: even pairs run the parent first, odd pairs the change.
 Every run uses the same seed and the ``run_seconds`` of the change's
 ``BENCHMARK.json``.  Writes, per workload and
 end-to-end metric, each side's median, quartiles and minimum, the
-runs themselves, and how many pairs the change won (ties count for
+runs themselves with each run's ``attempted`` operation count beside
+them (a ``peak_rss_mb`` shift can then be matched to the number of
+rounds a run did), and how many pairs the change won (ties count for
 neither side).  The ``env:`` line of each side's runs is kept, and so
 is each side's ``src/dlrplan`` line count, the size the roadmap tracks.
 """
@@ -83,7 +85,7 @@ def main(argv=None) -> int:
                 res = run_once(sides[side], w, args.seed, seconds)
                 res["pair"], res["wall_s"] = i, time.perf_counter() - t
                 runs[w][side].append(res)
-                print(f"pair {i} {w} {side}: "
+                print(f"pair {i} {w} {side}: attempted {res.get('attempted')} "
                       + json.dumps(res.get("metrics") or res.get("stderr")), flush=True)
 
     doc = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
@@ -100,14 +102,16 @@ def main(argv=None) -> int:
                      "attempted_ops": sum(r["attempted"] for r in ok[s])} for s in sides}
         entry["metrics"] = {}
         for name, spec in metrics.items():
-            vals = {s: [r["metrics"][name] for r in ok[s] if name in r["metrics"]] for s in sides}
+            with_metric = {s: [r for r in ok[s] if name in r["metrics"]] for s in sides}
+            vals = {s: [r["metrics"][name] for r in with_metric[s]] for s in sides}
             if not all(vals.values()):
                 continue
             by_pair = {s: {r["pair"]: r["metrics"][name] for r in ok[s]} for s in sides}
             sign = 1.0 if spec["better"] == "lower" else -1.0
             pairs = sorted(set(by_pair["parent"]) & set(by_pair["change"]))
             m = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                 "parent": summary(vals["parent"]), "change": summary(vals["change"]),
+                 **{s: {**summary(vals[s]), "attempted": [r["attempted"] for r in with_metric[s]]}
+                    for s in sides},
                  "pairs_compared": len(pairs),
                  "change_wins": sum(sign * (by_pair["change"][p] - by_pair["parent"][p]) < 0
                                     for p in pairs)}
