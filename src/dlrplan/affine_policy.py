@@ -39,7 +39,6 @@ from .uncertainty import (
     truncated_deficit_expectation,
 )
 
-_TIE_EPS = 1e-7
 _DUST_EPS = 1e-9
 # A guarantee may not exceed the forecast mean plus this many standard deviations.
 _Y_CAP_SIGMA = 3.0
@@ -47,15 +46,26 @@ _Y_CAP_SIGMA = 3.0
 
 @dataclass(frozen=True)
 class AffinePolicy:
-    """Deployable policy artifact: slopes, thresholds, and procured envelope."""
+    """Deployable policy artifact: slopes, thresholds, and procured envelope.
 
-    d: np.ndarray                # generators x DLR lines, MW per MW deficit
-    d_up: np.ndarray             # nonnegative split, d = d_up - d_dn
+    The slopes ``d`` are always ``d_up - d_dn``.  A ``d`` given that
+    differs (``dataclasses.replace(policy, d=...)``) replaces the split
+    by its positive and negative parts.
+    """
+
+    d_up: np.ndarray             # nonnegative split of the slopes
     d_dn: np.ndarray
     y_mw: np.ndarray             # guaranteed capacity per DLR line
     dlr_base_mw: np.ndarray      # per-unit base converting realizations
     delta_up: np.ndarray         # procured upward bound, >= 0
     delta_dn: np.ndarray         # procured downward bound, <= 0
+    d: np.ndarray | None = None  # generators x DLR lines, MW per MW deficit
+
+    def __post_init__(self):
+        if self.d is not None and not np.array_equal(self.d, self.d_up - self.d_dn):
+            object.__setattr__(self, "d_up", np.maximum(self.d, 0.0))
+            object.__setattr__(self, "d_dn", np.maximum(-self.d, 0.0))
+        object.__setattr__(self, "d", self.d_up - self.d_dn)
 
     @property
     def n_gens(self) -> int:
@@ -69,6 +79,8 @@ class AffinePolicy:
         delta = np.atleast_1d(np.asarray(delta_realized_pu, dtype=float))
         if delta.size != self.n_lines:
             raise InputError(f"realization must have length {self.n_lines}")
+        if not np.all(np.isfinite(delta)):
+            raise InputError(f"realized ratings must be finite, got {delta.tolist()}")
         return np.maximum(0.0, self.y_mw - delta * self.dlr_base_mw)
 
 
@@ -149,8 +161,8 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     y = np.atleast_1d(np.asarray(y_mw, dtype=float))
     if y.size != k:
         raise InputError(f"y must have length {k}")
-    if np.any(y < 0):
-        raise InputError("guaranteed capacities must be >= 0")
+    if not (np.all(np.isfinite(y)) and np.all(y >= 0)):
+        raise InputError(f"guaranteed capacities must be finite and >= 0, got {y.tolist()}")
     sd_mw = np.sqrt(np.diag(e_set.sigma())) * base
     cap = e_set.mu * base + _Y_CAP_SIGMA * sd_mw
     if np.any(y > cap + 1e-9):
@@ -168,28 +180,11 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     n = grid.n_gens
 
     lay = qp.VariableLayout()
-    s_p = lay.add("p", n)
-    s_up = lay.add("d_up", n)
-    s_dn = lay.add("d_dn", n)
-    s_dup = lay.add("D_up", n * k)     # row-major: gen g, line j at g*k + j
-    s_ddn = lay.add("D_dn", n * k)
-    nx = lay.size
-
-    tie = _TIE_EPS * np.arange(1, n + 1)
-    c = np.zeros(nx)
-    c[s_p] = ga.cost_linear
-    c[s_up] = ga.price_up + tie
-    c[s_dn] = ga.price_dn + tie
-    c[s_dup] = np.kron(ga.act_up, e_mw) + _DUST_EPS
-    c[s_ddn] = np.kron(ga.act_dn, e_mw) + _DUST_EPS
-    q_diag = np.zeros(nx)
-    q_diag[s_p] = 2.0 * ga.cost_quad
-    q = sp.diags(q_diag)
-
-    lb = np.zeros(nx)
-    ub = np.full(nx, np.inf)
-    lb[s_p], ub[s_p] = ga.p_min, ga.p_max
-    ub[s_up], ub[s_dn] = ga.res_up_max, ga.res_dn_max
+    s_p = ga.add_schedule(lay)
+    s_up, s_dn = ga.add_envelope(lay)
+    # row-major: gen g, line j at g*k + j
+    s_dup = lay.add("D_up", n * k, cost=np.kron(ga.act_up, e_mw) + _DUST_EPS)
+    s_ddn = lay.add("D_dn", n * k, cost=np.kron(ga.act_dn, e_mw) + _DUST_EPS)
 
     a_eq, b_eq = _equalities(lay, s_p, s_dup, s_ddn, grid.total_load, k)
     blocks = []
@@ -203,8 +198,7 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
         blocks += _flow_bands(lay, s_p, s_dup, s_ddn, ptdf, delta_mw[v], u)
 
     g, h = qp.stack(blocks)
-    sol = qp.solve(qp.ConvexProgram(c=c, q=q, a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
-                                    lb=lb, ub=ub))
+    sol = qp.solve(lay.program(a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h))
     if sol.status is qp.SolveStatus.INFEASIBLE:
         lines = _binding_lines(grid, ptdf, delta_mw, deficits)
         raise InfeasibleError(
@@ -222,15 +216,14 @@ def procure_affine(grid: GridModel, ptdf: PtdfMatrices, e_set: EllipsoidSet,
     common = np.minimum(d_up_m, d_dn_m)
     d_up_m -= common
     d_dn_m -= common
-    d = d_up_m - d_dn_m
     env_up = np.minimum(np.maximum(x[s_up], 0.0), ga.res_up_max)
     env_dn = np.minimum(np.maximum(x[s_dn], 0.0), ga.res_dn_max)
-    act_mat = d @ deficits.T                         # n x n_pts actions
+    act_mat = (d_up_m - d_dn_m) @ deficits.T         # n x n_pts actions
     env_up = np.maximum(env_up, act_mat.max(axis=1))
     env_dn = np.maximum(env_dn, -act_mat.min(axis=1))
 
-    policy = AffinePolicy(d=d, d_up=d_up_m, d_dn=d_dn_m, y_mw=y,
-                          dlr_base_mw=base, delta_up=env_up, delta_dn=-env_dn)
+    policy = AffinePolicy(d_up=d_up_m, d_dn=d_dn_m, y_mw=y, dlr_base_mw=base,
+                          delta_up=env_up, delta_dn=-env_dn)
     cost_disp = float(ga.cost_quad @ p**2 + ga.cost_linear @ p)
     cost_proc = float(ga.price_up @ env_up + ga.price_dn @ env_dn)
     cost_op = float(ga.act_up @ (d_up_m @ e_mw) + ga.act_dn @ (d_dn_m @ e_mw))
@@ -253,39 +246,31 @@ def _equalities(lay, s_p, s_dup, s_ddn, total_load, k):
 def _flow_bands(lay, s_p, s_dup, s_ddn, ptdf, delta_mw, u):
     """DLR and NLR flow limits at one enforcement point: the schedule plus
     the policy's action for that point's deficits ``u``."""
-    hd_m, hn_m = ptdf.gen_dlr, ptdf.gen_nlr
-    shift_d = np.kron(hd_m, u[None, :])          # rows: DLR flow change
-    shift_n = np.kron(hn_m, u[None, :])
-    return [lay.band([(s_p, hd_m), (s_dup, shift_d), (s_ddn, -shift_d)], -ptdf.load_dlr,
-                     delta_mw),
-            lay.band([(s_p, hn_m), (s_dup, shift_n), (s_ddn, -shift_n)], -ptdf.load_nlr,
-                     ptdf.nlr_limit_mw)]
+    def terms(gen):
+        shift = np.kron(gen, u[None, :])         # rows: flow change
+        return [(s_p, gen), (s_dup, shift), (s_ddn, -shift)]
+    return ptdf.bands(lay, terms, delta_mw)
 
 
 def _binding_lines(grid, ptdf, delta_mw, deficits):
     """Lines that stay overloaded at the violation-minimizing policy,
     with the reserve envelope left out."""
-    ga = grid.gen_arrays
     n = grid.n_gens
     k = delta_mw.shape[1]
 
     lay = qp.VariableLayout()
-    s_p = lay.add("p", n)
+    s_p = grid.gen_arrays.add_schedule(lay)
     s_dup = lay.add("D_up", n * k)
     s_ddn = lay.add("D_dn", n * k)
-    lb = np.zeros(lay.size)
-    ub = np.full(lay.size, np.inf)
-    lb[s_p], ub[s_p] = ga.p_min, ga.p_max
     a_eq, b_eq = _equalities(lay, s_p, s_dup, s_ddn, grid.total_load, k)
     g, h = qp.stack([blk for point, u in zip(delta_mw, deficits)
                      for blk in _flow_bands(lay, s_p, s_dup, s_ddn, ptdf, point, u)])
     # one slack per line over both sides of its band, at every point
     n_nlr = len(ptdf.nlr_line_index)
     per_point = np.concatenate([np.tile(np.arange(k), 2), k + np.tile(np.arange(n_nlr), 2)])
-    slack = qp.min_violation(
-        qp.ConvexProgram(c=np.zeros(lay.size), a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
-                         lb=lb, ub=ub),
-        np.tile(per_point, len(delta_mw)))
+    # min_violation reads the program's constraints and bounds, not its costs
+    slack = qp.min_violation(lay.program(a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h),
+                             np.tile(per_point, len(delta_mw)))
     if slack is None:
         return []
     ids = list(ptdf.dlr_line_index) + list(ptdf.nlr_line_index)
@@ -364,10 +349,16 @@ def policy_from_doc(doc: dict) -> AffinePolicy:
     """Rebuild an AffinePolicy from its export document."""
     gens = doc["generators"]
     d = np.array([g["slope_mw_per_mw"] for g in gens], dtype=float)
+    d_up = np.array([g["slope_up"] for g in gens], dtype=float)
+    d_dn = np.array([g["slope_down"] for g in gens], dtype=float)
+    if not (np.all(d_up >= 0) and np.all(d_dn >= 0)):
+        raise InputError("policy slopes slope_up and slope_down must be >= 0")
+    if d.shape != d_up.shape or d_up.shape != d_dn.shape \
+            or not np.allclose(d, d_up - d_dn, rtol=1e-9, atol=1e-9):
+        raise InputError("policy slope_mw_per_mw differs from slope_up - slope_down")
     return AffinePolicy(
-        d=d,
-        d_up=np.array([g["slope_up"] for g in gens], dtype=float),
-        d_dn=np.array([g["slope_down"] for g in gens], dtype=float),
+        d_up=d_up,
+        d_dn=d_dn,
         y_mw=np.asarray(doc["y_mw"], dtype=float),
         dlr_base_mw=np.asarray(doc["dlr_base_mw"], dtype=float),
         delta_up=np.array([g["procured_up_mw"] for g in gens], dtype=float),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,6 +65,19 @@ def _read_json(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise InputError(f"{p}: expected a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def _manifest_number(manifest: dict, key: str, default, kind, where):
+    """Manifest field ``key`` (``default`` when absent) as a finite
+    ``kind``, int or float; anything else is an input error naming it."""
+    value = manifest.get(key, default)
+    try:
+        if type(value) in (int, float) and math.isfinite(kind(value)) and kind(value) == value:
+            return kind(value)
+    except (OverflowError, ValueError):
+        pass
+    raise InputError(f"{where}: manifest field {key!r} must be "
+                     f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -271,12 +285,13 @@ def cmd_evaluate(args) -> int:
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise InputError(f"procurement labels {repeated} repeat")
+    sample_count = _manifest_number(manifest, "sample_count", 1000, int, args.manifest)
+    seed = _manifest_number(manifest, "seed", 0, int, args.manifest)
+    gamma = _manifest_number(manifest, "gamma", 0.95, float, args.manifest)
     root = Path(args.manifest).parent
     grid, ptdf = _load_grid_and_ptdf(_resolve(root, manifest["grid"]))
     out_dir = Path(_resolve(root, manifest["output_dir"]))
     out_dir.mkdir(parents=True, exist_ok=True)
-    sample_count = int(manifest.get("sample_count", 1000))
-    seed = int(manifest.get("seed", 0))
 
     sq = status_quo_cost(grid, ptdf)
     # one column of _SUMMARY_METRICS values per label
@@ -285,8 +300,7 @@ def cmd_evaluate(args) -> int:
     for entry in entries:
         doc = _read_json(_resolve(root, entry["path"]))
         forecast = _aligned_forecast(_resolve(root, entry["forecast"]), ptdf)
-        cfg = ScenarioConfig(grid=grid, ptdf=ptdf, forecast=forecast,
-                             gamma=float(manifest.get("gamma", 0.95)),
+        cfg = ScenarioConfig(grid=grid, ptdf=ptdf, forecast=forecast, gamma=gamma,
                              sample_count=sample_count, seed=seed)
         proc = _procurement_from_doc(doc, grid, ptdf, entry["path"])
         row = monte_carlo_eval(cfg, proc).rows[0]
@@ -320,17 +334,19 @@ def cmd_sweep(args) -> int:
     root = Path(args.manifest).parent
     grid, ptdf = _load_grid_and_ptdf(_resolve(root, manifest["grid"]))
     forecast = _aligned_forecast(_resolve(root, manifest["forecast"]), ptdf)
-    out_dir = Path(_resolve(root, manifest["output_dir"]))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    number = lambda key, default, kind: _manifest_number(manifest, key, default, kind,
+                                                         args.manifest)
     cfg = ScenarioConfig(
         grid=grid, ptdf=ptdf, forecast=forecast,
-        gamma=float(manifest.get("gamma", 0.95)),
-        alpha=float(manifest.get("alpha", 0.0)),
+        gamma=number("gamma", 0.95, float),
+        alpha=number("alpha", 0.0, float),
         approach=str(manifest.get("approach", "both")),
-        sample_count=int(manifest.get("sample_count", 1000)),
-        seed=int(manifest.get("seed", 0)),
-        facets=int(manifest.get("facets", 8)),
+        sample_count=number("sample_count", 1000, int),
+        seed=number("seed", 0, int),
+        facets=number("facets", 8, int),
     )
+    out_dir = Path(_resolve(root, manifest["output_dir"]))
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.kind == "flow-limits":
         if "limits_grid_mw" not in manifest:

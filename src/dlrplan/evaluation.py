@@ -10,6 +10,7 @@ silently into the mean operating cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,8 @@ from .uncertainty import (
 # Default guarantee candidates for approach II, as fractions of the
 # forecast mean, when the scenario does not pin the flow caps.
 DEFAULT_Y_FRACTIONS = (0.85, 0.95, 1.0, 1.05)
+# The price of one uncovered sample, $.
+INFEASIBILITY_PENALTY = 10_000.0
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,6 @@ class ScenarioConfig:
     sample_count: int = 1000
     seed: int = 0
     facets: int = 8
-    infeasibility_penalty: float = 10_000.0   # $ per uncovered sample
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -55,8 +57,8 @@ class ScenarioConfig:
             raise InputError(f"approach must be I, II or both, got {self.approach!r}")
         if self.flow_caps_mw is not None:
             caps = tuple(float(c) for c in self.flow_caps_mw)
-            if any(c <= 0 for c in caps):
-                raise InputError("flow caps must be positive")
+            if not all(0 < c < math.inf for c in caps):
+                raise InputError(f"flow caps must be positive and finite, got {list(caps)}")
             object.__setattr__(self, "flow_caps_mw", caps)
 
     def ellipsoid(self) -> EllipsoidSet:
@@ -174,7 +176,7 @@ def _approach_row(cfg: ScenarioConfig, proc, draws: np.ndarray, sq: float) -> Ap
         procurement_cost=proc_cost, mean_operational_cost=mean_op,
         total_cost=total, savings_pct=100.0 * (sq - total) / sq,
         feasible=feasible,
-        mean_penalty_cost=cfg.infeasibility_penalty * float(1.0 - feasible.mean()),
+        mean_penalty_cost=INFEASIBILITY_PENALTY * float(1.0 - feasible.mean()),
     )
 
 
@@ -286,6 +288,15 @@ def _sweep_rows(cfg: ScenarioConfig, point: dict, fields) -> list[dict]:
     return rows
 
 
+def _floats(values, what: str) -> tuple[float, ...]:
+    """``values`` (a number or a list of numbers) as floats; an input
+    error names ``what``."""
+    try:
+        return tuple(float(v) for v in np.atleast_1d(values))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must hold numbers: {exc}") from exc
+
+
 def sweep_flow_limits(cfg: ScenarioConfig, limits_grid) -> list[dict]:
     """Procured reserves and savings for each DLR flow-limit cap.
 
@@ -293,14 +304,18 @@ def sweep_flow_limits(cfg: ScenarioConfig, limits_grid) -> list[dict]:
     infeasible at a cap is reported with a status instead of failing
     the sweep.
     """
-    limits_grid = list(limits_grid)
-    if not limits_grid:
+    k = len(cfg.ptdf.dlr_line_index)
+    subs = []
+    for i, caps in enumerate(limits_grid):
+        caps_t = _floats(caps, f"limits_grid entry {i}")
+        if len(caps_t) != k:
+            raise InputError(f"limits_grid entry {i} has {len(caps_t)} caps for {k} DLR lines")
+        subs.append(replace(cfg, flow_caps_mw=caps_t))
+    if not subs:
         raise InputError("limits_grid must be nonempty")
     rows: list[dict] = []
-    for caps in limits_grid:
-        caps_t = tuple(float(c) for c in np.atleast_1d(caps))
-        sub = replace(cfg, flow_caps_mw=caps_t)
-        rows += _sweep_rows(sub, {f"cap_mw_{i + 1}": c for i, c in enumerate(caps_t)},
+    for sub in subs:
+        rows += _sweep_rows(sub, {f"cap_mw_{i + 1}": c for i, c in enumerate(sub.flow_caps_mw)},
                             _SWEEP_FIELDS)
     return rows
 
@@ -311,8 +326,7 @@ def sweep_mu_sigma(cfg: ScenarioConfig, mu_grid, sigma_grid) -> list[dict]:
     Every DLR line gets the same mu and standard deviation, matching the
     case study's uncorrelated sweep.
     """
-    mu_grid = [float(m) for m in mu_grid]
-    sigma_grid = [float(s) for s in sigma_grid]
+    mu_grid, sigma_grid = _floats(mu_grid, "mu_grid"), _floats(sigma_grid, "sigma_grid")
     if not mu_grid or not sigma_grid:
         raise InputError("mu_grid and sigma_grid must be nonempty")
     k = cfg.forecast.dim

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import InputError, NumericalError, read_json
 from .thermal import LineRatingSpec, rating_spec_from_mapping
 
+# Deterministic preference for the lowest-index provider among equals.
+_TIE_EPS = 1e-7
+
 
 @dataclass(frozen=True)
 class Line:
@@ -179,6 +182,19 @@ class GenArrays:
     def __post_init__(self):
         _freeze(self)
 
+    def add_schedule(self, lay) -> slice:
+        """Add the dispatch block p to a ``qp.VariableLayout``: linear plus
+        quadratic cost, within [p_min, p_max]."""
+        return lay.add("p", self.p_min.size, cost=self.cost_linear, quad=2.0 * self.cost_quad,
+                       lb=self.p_min, ub=self.p_max)
+
+    def add_envelope(self, lay) -> tuple[slice, slice]:
+        """Add the procured reserve envelope, blocks d_up and d_dn: the
+        reserve prices plus a lowest-index tie-break, within [0, cap]."""
+        tie = _TIE_EPS * np.arange(1, self.p_min.size + 1)
+        return (lay.add("d_up", tie.size, cost=self.price_up + tie, ub=self.res_up_max),
+                lay.add("d_dn", tie.size, cost=self.price_dn + tie, ub=self.res_dn_max))
+
 
 @dataclass(frozen=True)
 class PtdfMatrices:
@@ -208,6 +224,13 @@ class PtdfMatrices:
     @property
     def n_lines(self) -> int:
         return self.h_full.shape[0]
+
+    def bands(self, lay, terms, dlr_mw):
+        """The DLR band at limits ``dlr_mw``, then the NLR band at the static
+        limits, of ``lay.band``; ``terms(gen)`` gives the flow terms for
+        either set's flow-per-MW matrix ``gen``."""
+        return [lay.band(terms(self.gen_dlr), -self.load_dlr, dlr_mw),
+                lay.band(terms(self.gen_nlr), -self.load_nlr, self.nlr_limit_mw)]
 
 
 def _freeze(record):

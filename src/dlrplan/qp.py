@@ -70,24 +70,33 @@ class VariableLayout:
 
     Keeps column offsets in one place so constraint builders cannot
     disagree about where a block lives, and builds constraint rows over
-    those blocks.
+    those blocks.  Each block declares its own linear cost, diagonal
+    quadratic weight and bounds; ``program`` assembles them.
     """
 
     def __init__(self):
         self._slices: dict[str, slice] = {}
         self._size = 0
+        self._columns: list[tuple[np.ndarray, ...]] = []
 
-    def add(self, name: str, size: int) -> slice:
+    def add(self, name: str, size: int, cost=0.0, quad=0.0, lb=0.0, ub=np.inf) -> slice:
+        """Append a block of ``size`` variables; its linear ``cost``, ``quad``
+        (diagonal of Q) and bounds are scalars or one value per variable."""
         if name in self._slices:
             raise ValueError(f"duplicate variable block {name!r}")
         s = slice(self._size, self._size + size)
         self._slices[name] = s
         self._size += size
+        self._columns.append(tuple(np.broadcast_to(np.asarray(v, dtype=float), size)
+                                   for v in (cost, quad, lb, ub)))
         return s
 
-    @property
-    def size(self) -> int:
-        return self._size
+    def program(self, **constraints) -> ConvexProgram:
+        """The program over the blocks' costs and bounds with the given
+        constraint fields; ``q`` is None when every weight is zero."""
+        c, quad, lb, ub = (np.concatenate(col) for col in zip(*self._columns))
+        return ConvexProgram(c=c, q=sp.diags(quad) if quad.any() else None, lb=lb, ub=ub,
+                             **constraints)
 
     def rows(self, *terms) -> sp.csr_matrix:
         """CSR rows from ``(block slice, matrix)`` terms over disjoint blocks.
@@ -129,6 +138,7 @@ class ConvexProgram:
 
     Matrices may be dense ndarrays or scipy sparse; ``q`` and the
     constraint blocks may be None when absent.  Bounds default to free.
+    Every entry must be finite, except ``lb = -inf`` and ``ub = +inf``.
     ``blocks`` are disjoint column ranges: no constraint row and no entry
     of ``q`` may touch two of them.  Columns outside every block link
     the blocks.  They change how the program is factored, not its solution.
@@ -146,10 +156,12 @@ class ConvexProgram:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).ravel()
+        _require_finite("c", c)
         object.__setattr__(self, "c", c)
         n = c.size
         if self.q is not None:
             q = sp.csr_matrix(self.q)
+            _require_finite("q", q.data)
             if q.shape != (n, n):
                 raise ValueError(f"q must be {n}x{n}, got {q.shape}")
             asym = abs(q - q.T)
@@ -170,14 +182,17 @@ class ConvexProgram:
                 vv = np.asarray(v, dtype=float).ravel()
                 if ms.shape != (vv.size, n):
                     raise ValueError(f"{mname} block shape mismatch: {ms.shape} vs rhs {vv.size}, n={n}")
+                _require_finite(mat, ms.data)
+                _require_finite(vec, vv)
                 object.__setattr__(self, mat, ms)
                 object.__setattr__(self, vec, vv)
-        for bname in ("lb", "ub"):
+        for bname, free in (("lb", -np.inf), ("ub", np.inf)):
             bv = getattr(self, bname)
             if bv is not None:
                 bv = np.asarray(bv, dtype=float).ravel()
                 if bv.size != n:
                     raise ValueError(f"{bname} must have length {n}")
+                _require_finite(bname, bv, free)
                 object.__setattr__(self, bname, bv)
         blocks = tuple(self.blocks)
         object.__setattr__(self, "blocks", blocks)
@@ -196,6 +211,13 @@ class ConvexProgram:
     @property
     def n(self) -> int:
         return self.c.size
+
+
+def _require_finite(name: str, values: np.ndarray, free: float | None = None):
+    """Raise unless every entry of ``values`` is finite or equals ``free``."""
+    bad = ~np.isfinite(values)
+    if bad.any() and (free is None or np.any(values[bad] != free)):
+        raise ValueError(f"{name} must be finite" + ("" if free is None else f" or {free}"))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,6 @@ from .errors import InfeasibleError, InputError, UncoveredRealizationError
 from .network import GridModel, PtdfMatrices
 from .uncertainty import PolytopeSet, check_dlr_alignment
 
-# Deterministic preference for the lowest-index provider among equals.
-_TIE_EPS = 1e-7
-
 
 @dataclass(frozen=True)
 class ProcurementResult:
@@ -61,18 +58,13 @@ def dc_opf(grid: GridModel, ptdf: PtdfMatrices,
     Returns (generation MW, dispatch cost).
     """
     ga = grid.gen_arrays
-    n = grid.n_gens
     d_lim = np.asarray(dlr_limits_mw, dtype=float) if dlr_limits_mw is not None \
         else ptdf.dlr_base_mw
     lay = qp.VariableLayout()
-    s_p = lay.add("p", n)
-    g, h = qp.stack([lay.band([(s_p, ptdf.gen_dlr)], -ptdf.load_dlr, d_lim),
-                     lay.band([(s_p, ptdf.gen_nlr)], -ptdf.load_nlr, ptdf.nlr_limit_mw)])
-    sol = qp.solve(qp.ConvexProgram(
-        c=ga.cost_linear, q=2.0 * np.diag(ga.cost_quad),
-        a_eq=lay.rows((s_p, np.ones(n))), b_eq=[grid.total_load],
-        g_ineq=g, h_ineq=h, lb=ga.p_min, ub=ga.p_max,
-    ))
+    s_p = ga.add_schedule(lay)
+    g, h = qp.stack(ptdf.bands(lay, lambda gen: [(s_p, gen)], d_lim))
+    sol = qp.solve(lay.program(a_eq=lay.rows((s_p, np.ones(grid.n_gens))),
+                               b_eq=[grid.total_load], g_ineq=g, h_ineq=h))
     if sol.status is qp.SolveStatus.INFEASIBLE:
         raise InfeasibleError("dispatch infeasible at the given line limits")
     if not sol.optimal:
@@ -91,8 +83,8 @@ def procure_vertex_robust(grid: GridModel, ptdf: PtdfMatrices, w: PolytopeSet,
     nominal base.  ``schedule_caps_mw`` optionally caps the scheduled
     (pre-redispatch) DLR flows, the knob swept in the case study.
     """
-    if alpha < 0:
-        raise InputError("alpha must be >= 0")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise InputError(f"alpha must be finite and >= 0, got {alpha}")
     check_dlr_alignment(w, ptdf.dlr_line_index)
 
     ga = grid.gen_arrays
@@ -154,36 +146,15 @@ def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
     ga = grid.gen_arrays
     n = grid.n_gens
     k = len(ptdf.dlr_line_index)
-    hd, hn, fd0, fn0 = ptdf.gen_dlr, ptdf.gen_nlr, ptdf.load_dlr, ptdf.load_nlr
 
     lay = qp.VariableLayout()
-    s_p = lay.add("p", n)
-    s_up = lay.add("d_up", n)
-    s_dn = lay.add("d_dn", n)
-    s_v = [(lay.add(f"v_up{i}", n), lay.add(f"v_dn{i}", n)) for i in range(len(verts_mw))]
-    s_wc = lay.add("c_wc", 1) if alpha > 0 else None
-    nx = lay.size
-
-    tie = _TIE_EPS * np.arange(1, n + 1)
-    c = np.zeros(nx)
-    c[s_p] = ga.cost_linear
-    c[s_up] = ga.price_up + tie
-    c[s_dn] = ga.price_dn + tie
+    s_p = ga.add_schedule(lay)
+    s_up, s_dn = ga.add_envelope(lay)
     # vanishing activation cost: slack vertices get the zero action, binding
     # ones the cheapest covering action, without disturbing the optimum
-    for sv_up, sv_dn in s_v:
-        c[sv_up] = 1e-6 * ga.act_up
-        c[sv_dn] = 1e-6 * ga.act_dn
-    if s_wc is not None:
-        c[s_wc] = alpha
-    q_diag = np.zeros(nx)
-    q_diag[s_p] = 2.0 * ga.cost_quad
-    q = sp.diags(q_diag)
-
-    lb = np.full(nx, 0.0)
-    ub = np.full(nx, np.inf)
-    lb[s_p], ub[s_p] = ga.p_min, ga.p_max
-    ub[s_up], ub[s_dn] = ga.res_up_max, ga.res_dn_max
+    s_v = [(lay.add(f"v_up{i}", n, cost=1e-6 * ga.act_up),
+            lay.add(f"v_dn{i}", n, cost=1e-6 * ga.act_dn)) for i in range(len(verts_mw))]
+    s_wc = lay.add("c_wc", 1, cost=alpha) if alpha > 0 else None
 
     # balance of the schedule and of every vertex action
     ones, eye = np.ones(n), np.eye(n)
@@ -198,9 +169,7 @@ def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
         blocks.append((lay.rows((sv_up, eye), (s_up, -eye)), np.zeros(n)))
         blocks.append((lay.rows((sv_dn, eye), (s_dn, -eye)), np.zeros(n)))
         # line limits after the vertex's re-dispatch
-        blocks.append(lay.band([(s_p, hd), (sv_up, hd), (sv_dn, -hd)], -fd0, lim))
-        blocks.append(lay.band([(s_p, hn), (sv_up, hn), (sv_dn, -hn)], -fn0,
-                               ptdf.nlr_limit_mw))
+        blocks += ptdf.bands(lay, lambda gen: [(s_p, gen), (sv_up, gen), (sv_dn, -gen)], lim)
         if s_wc is not None:
             blocks.append((lay.rows((sv_up, ga.act_up), (sv_dn, ga.act_dn), (s_wc, -1.0)),
                            np.zeros(1)))
@@ -208,12 +177,13 @@ def _procurement_program(grid, ptdf, verts_mw, alpha, schedule_caps_mw):
         caps = np.asarray(schedule_caps_mw, dtype=float)
         if caps.size != k:
             raise InputError(f"schedule_caps_mw must have length {k}")
-        blocks.append(lay.band([(s_p, hd)], -fd0, caps))
+        if not np.all(np.isfinite(caps)):
+            raise InputError(f"schedule_caps_mw must be finite, got {caps.tolist()}")
+        blocks.append(lay.band([(s_p, ptdf.gen_dlr)], -ptdf.load_dlr, caps))
     g, h = qp.stack(blocks)
     # each vertex's action couples to the others only through p, d_up, d_dn and c_wc
-    program = qp.ConvexProgram(c=c, q=q, a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
-                               lb=lb, ub=ub,
-                               blocks=tuple(slice(sv_up.start, sv_dn.stop) for sv_up, sv_dn in s_v))
+    program = lay.program(a_eq=a_eq, b_eq=b_eq, g_ineq=g, h_ineq=h,
+                          blocks=tuple(slice(sv_up.start, sv_dn.stop) for sv_up, sv_dn in s_v))
     return program, (s_p, s_up, s_dn, s_v)
 
 
@@ -239,8 +209,8 @@ def operate_online(grid: GridModel, ptdf: PtdfMatrices, proc: ProcurementResult,
     k = len(ptdf.dlr_line_index)
     if delta.size != k:
         raise InputError(f"realization must have length {k}")
-    if np.any(delta <= 0):
-        raise InputError("realized ratings must be positive")
+    if not np.all(np.isfinite(delta) & (delta > 0)):
+        raise InputError(f"realized ratings must be finite and positive, got {delta.tolist()}")
 
     ga = grid.gen_arrays
     n = grid.n_gens
@@ -271,18 +241,12 @@ def operate_online(grid: GridModel, ptdf: PtdfMatrices, proc: ProcurementResult,
     hn_k = hn_a[keep_n]
 
     lay = qp.VariableLayout()
-    s_up = lay.add("up", na)
-    s_dn = lay.add("dn", na)
-    nx = lay.size
-    c = np.zeros(nx)
-    c[s_up] = ga.act_up[act]
-    c[s_dn] = ga.act_dn[act]
-    lb = np.zeros(nx)
-    ub = np.concatenate([proc.delta_up[act], -proc.delta_dn[act]])
+    s_up = lay.add("up", na, cost=ga.act_up[act], ub=proc.delta_up[act])
+    s_dn = lay.add("dn", na, cost=ga.act_dn[act], ub=-proc.delta_dn[act])
     g, h = qp.stack([lay.band([(s_up, hd_a), (s_dn, -hd_a)], f_d0, lim_d),
                      lay.band([(s_up, hn_k), (s_dn, -hn_k)], f_n0[keep_n], lim_n[keep_n])])
-    program = qp.ConvexProgram(c=c, a_eq=lay.rows((s_up, np.ones(na)), (s_dn, -np.ones(na))),
-                               b_eq=[0.0], g_ineq=g, h_ineq=h, lb=lb, ub=ub)
+    program = lay.program(a_eq=lay.rows((s_up, np.ones(na)), (s_dn, -np.ones(na))),
+                          b_eq=[0.0], g_ineq=g, h_ineq=h)
     sol = qp.solve(program)
     if sol.status is qp.SolveStatus.INFEASIBLE:
         # One slack per line over both sides of its band.  The NLR lines

@@ -284,8 +284,5 @@ def read_weather_csv(path: str | Path) -> list[WeatherSample]:
             if missing:
                 raise InputError(f"{path}: missing weather columns {missing}")
         for i, row in enumerate(reader, start=2):
-            try:
-                samples.append(_weather_from_mapping(row, f"{path}:{i}"))
-            except InputError:
-                raise
+            samples.append(_weather_from_mapping(row, f"{path}:{i}"))
     return samples

@@ -272,7 +272,7 @@ def clip_polytope_z(p: PolytopeSet, normals, offsets) -> np.ndarray:
                 lo = max(lo, bound)
         if lo > hi + 1e-12:
             return np.empty((0, 1))
-        return np.array([[lo], [min(hi, max(lo, hi))]]) if hi > lo else np.array([[lo]])
+        return np.array([[lo], [hi]]) if hi > lo else np.array([[lo]])
     if p.dim == 2:
         poly = [v for v in p.vertices_z]
         for n, o in zip(normals, offsets):
@@ -315,7 +315,7 @@ def uniform_polytope_samples(p: PolytopeSet, count: int, seed: int) -> np.ndarra
     filled = 0
     while filled < count:
         cand = rng.uniform(lo, hi, size=(max(count, 1024), p.dim))
-        ok = np.all(p.s @ cand.T <= p.h[:, None] + 0.0, axis=0)
+        ok = np.all(p.s @ cand.T <= p.h[:, None], axis=0)
         take = cand[ok][: count - filled]
         out[filled:filled + take.shape[0]] = take
         filled += take.shape[0]

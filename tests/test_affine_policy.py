@@ -34,7 +34,6 @@ def two_bus_ellipsoid(mu=1.5, sd=0.2, gamma=0.95):
 
 def simple_policy():
     return AffinePolicy(
-        d=np.array([[-1.0], [1.0]]),
         d_up=np.array([[0.0], [1.0]]),
         d_dn=np.array([[1.0], [0.0]]),
         y_mw=np.array([300.0]),
@@ -83,7 +82,7 @@ def test_column_sum_zero_gives_balanced_actions():
     d = d_up - d_dn
     d -= d.sum(axis=0, keepdims=True) / 5.0
     pol = AffinePolicy(
-        d=d, d_up=np.maximum(d, 0), d_dn=np.maximum(-d, 0),
+        d_up=np.maximum(d, 0), d_dn=np.maximum(-d, 0),
         y_mw=np.array([300.0, 280.0]), dlr_base_mw=np.array([250.0, 250.0]),
         delta_up=np.full(5, 10.0), delta_dn=np.full(5, -10.0),
     )

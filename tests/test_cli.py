@@ -247,6 +247,54 @@ def test_operate_procurement_not_an_object_exits_3(toy, capsys):
     assert not (tmp / "a.csv").exists()
 
 
+@pytest.mark.parametrize("args", [["--approach", "II", "--y", "nan"],
+                                  ["--approach", "I", "--alpha", "nan"],
+                                  ["--approach", "I", "--caps", "nan"]])
+def test_procure_non_finite_input_exits_3(toy, args, capsys):
+    tmp, grid, forecast = toy
+    code = main(["procure", "--grid", str(grid), "--forecast", str(forecast), *args,
+                 "--output-dir", str(tmp / "out")])
+    assert code == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+    assert not list((tmp / "out").iterdir())
+
+
+@pytest.mark.parametrize("approach, extra", [("I", []), ("II", ["--y", "300"])])
+def test_operate_non_finite_realization_exits_3(toy, approach, extra, capsys):
+    tmp, grid, forecast = toy
+    assert main(["procure", "--grid", str(grid), "--forecast", str(forecast),
+                 "--approach", approach, *extra, "--output-dir", str(tmp / "out")]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["operate", "--grid", str(grid),
+                 "--procurement", str(tmp / "out" / f"procurement_{approach}.json"),
+                 "--realization", "1-2=nan", "--output", str(tmp / "a.csv")])
+    assert code == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp / "a.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"slope_mw_per_mw": [0.0]}, "slope_mw_per_mw differs"),
+    ({"slope_mw_per_mw": [0.0], "slope_up": [-1.0], "slope_down": [-1.0]}, "must be >= 0"),
+])
+def test_operate_rejects_a_policy_whose_slope_and_split_disagree(toy, edit, message, capsys):
+    """The policy acts through its split; a slope that says otherwise, or
+    a negative split, makes the document invalid."""
+    tmp, grid, forecast = toy
+    assert main(["procure", "--grid", str(grid), "--forecast", str(forecast),
+                 "--approach", "II", "--y", "300", "--output-dir", str(tmp / "out")]) == EXIT_OK
+    report = tmp / "out" / "procurement_II.json"
+    doc = json.loads(report.read_text())
+    doc["policy"]["generators"][0].update(edit)
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["operate", "--grid", str(grid), "--procurement", str(report),
+                 "--realization", "1-2=1.0", "--output", str(tmp / "a.csv")])
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (tmp / "a.csv").exists()
+
+
 def test_procure_mismatched_dlr_lines_exits_3(toy):
     tmp, grid, _ = toy
     bad = tmp / "bad_forecast.json"
@@ -385,6 +433,41 @@ def test_sweep_flow_limits_empty_grid_exits_3(toy, capsys):
     code = main(["sweep", "--manifest", str(manifest), "--kind", "flow-limits"])
     assert code == EXIT_INPUT
     assert "limits_grid" in capsys.readouterr().err
+    assert not (tmp / "sweep_out" / "sweep_flow_limits.csv").exists()
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("sweep", "sample_count", "many"), ("sweep", "gamma", "high"), ("sweep", "facets", None),
+    ("sweep", "seed", "x"), ("sweep", "sample_count", 1.5), ("sweep", "alpha", [0.1]),
+    ("evaluate", "sample_count", 1.5), ("evaluate", "seed", "x"), ("evaluate", "gamma", "high"),
+])
+def test_manifest_malformed_number_exits_3(toy, command, field, value, capsys):
+    tmp, grid, forecast = toy
+    manifest = tmp / "manifest.json"
+    doc = {"grid": str(grid), "forecast": str(forecast), "limits_grid_mw": [[300.0]],
+           "procurements": [{"label": "x", "path": str(tmp / "p.json"),
+                             "forecast": str(forecast)}],
+           "output_dir": str(tmp / "out"), field: value}
+    manifest.write_text(json.dumps(doc))
+    argv = [command, "--manifest", str(manifest)]
+    code = main(argv + (["--kind", "flow-limits"] if command == "sweep" else []))
+    assert code == EXIT_INPUT
+    assert repr(field) in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("caps", [[[300.0, 300.0]], [[300.0], [300.0, 250.0]], [["x"]]])
+def test_sweep_malformed_cap_vector_exits_3(toy, caps, capsys):
+    """Every cap vector is checked before the first point is procured."""
+    tmp, grid, forecast = toy
+    manifest = tmp / "sweep.json"
+    manifest.write_text(json.dumps({
+        "grid": str(grid), "forecast": str(forecast), "sample_count": 20,
+        "limits_grid_mw": caps, "output_dir": str(tmp / "sweep_out"),
+    }))
+    code = main(["sweep", "--manifest", str(manifest), "--kind", "flow-limits"])
+    assert code == EXIT_INPUT
+    assert "limits_grid entry" in capsys.readouterr().err
     assert not (tmp / "sweep_out" / "sweep_flow_limits.csv").exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 from dlrplan.affine_policy import procure_affine
 from dlrplan.errors import InfeasibleError, InputError
 from dlrplan.evaluation import (
+    INFEASIBILITY_PENALTY,
     ScenarioConfig,
     audit_robust_feasibility,
     draw_realizations,
@@ -126,14 +127,14 @@ def test_policy_monte_carlo_matches_expected_cost():
 
 
 def test_penalty_recorded_separately():
-    cfg = two_bus_cfg(sample_count=4000, seed=17, infeasibility_penalty=5000.0)
+    cfg = two_bus_cfg(sample_count=4000, seed=17)
     w = build_polytope(build_ellipsoid(cfg.forecast, cfg.gamma))
     proc = procure_vertex_robust(cfg.grid, cfg.ptdf, w, alpha=0.0)
     rep = monte_carlo_eval(cfg, proc)
     row = rep.rows[0]
     assert row.feasibility_rate < 1.0  # 5% of draws fall outside the 95% set
     assert row.mean_penalty_cost == pytest.approx(
-        5000.0 * (1.0 - row.feasibility_rate), abs=1e-9)
+        INFEASIBILITY_PENALTY * (1.0 - row.feasibility_rate), abs=1e-9)
     # the penalty is NOT inside the reported mean operating cost
     assert row.total_cost == pytest.approx(
         row.dispatch_cost + row.procurement_cost + row.mean_operational_cost)
@@ -213,5 +214,6 @@ def test_scenario_config_validation():
         two_bus_cfg(sample_count=0)
     with pytest.raises(InputError):
         two_bus_cfg(approach="III")
-    with pytest.raises(InputError):
-        two_bus_cfg(flow_caps_mw=(-5.0,))
+    for caps in ((-5.0,), (float("nan"),), (float("inf"),)):
+        with pytest.raises(InputError):
+            two_bus_cfg(flow_caps_mw=caps)

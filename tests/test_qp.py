@@ -215,9 +215,40 @@ def test_variable_layout_offsets():
     d = lay.add("d", 2)
     assert p == slice(0, 3)
     assert d == slice(3, 5)
-    assert lay.size == 5
+    assert lay.program().n == 5
     with pytest.raises(ValueError):
         lay.add("p", 1)
+
+
+def test_variable_layout_blocks_carry_cost_and_bounds():
+    lay = VariableLayout()
+    lay.add("p", 3, cost=[1.0, 2.0, 3.0], quad=2.0, lb=-1.0, ub=[4.0, 5.0, 6.0])
+    lay.add("d", 2, cost=0.5)
+    prog = lay.program(b_eq=[1.0], a_eq=[[1.0, 1.0, 1.0, 0.0, 0.0]])
+    assert np.array_equal(prog.c, [1.0, 2.0, 3.0, 0.5, 0.5])
+    assert np.array_equal(prog.q.toarray(), np.diag([2.0, 2.0, 2.0, 0.0, 0.0]))
+    assert np.array_equal(prog.lb, [-1.0, -1.0, -1.0, 0.0, 0.0])
+    assert np.array_equal(prog.ub, [4.0, 5.0, 6.0, np.inf, np.inf])
+    assert prog.a_eq.shape == (1, 5)
+
+    linear = VariableLayout()
+    linear.add("x", 2, cost=1.0)
+    assert linear.program().q is None
+
+
+def test_rejects_non_finite_data():
+    # min x s.t. x <= NaN, x >= 2: no answer may come back as optimal
+    with pytest.raises(ValueError, match="h_ineq"):
+        ConvexProgram(c=[1.0], g_ineq=[[1.0]], h_ineq=[np.nan], lb=[2.0])
+    with pytest.raises(ValueError, match="lb"):
+        ConvexProgram(c=[1.0], lb=[np.nan])
+    for bad in ({"c": [np.inf]}, {"q": [[np.nan]]}, {"a_eq": [[np.nan]], "b_eq": [0.0]},
+                {"a_eq": [[1.0]], "b_eq": [np.inf]}, {"g_ineq": [[-np.inf]], "h_ineq": [0.0]},
+                {"lb": [np.inf]}, {"ub": [-np.inf]}, {"ub": [np.nan]}):
+        with pytest.raises(ValueError, match="must be finite"):
+            ConvexProgram(**{"c": [1.0], **bad})
+    free = ConvexProgram(c=[1.0, -1.0], lb=[-np.inf, 0.0], ub=[1.0, np.inf])
+    assert free.lb[0] == -np.inf and free.ub[1] == np.inf
 
 
 def test_rows_and_band_match_dense_reference():
