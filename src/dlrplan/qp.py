@@ -25,10 +25,19 @@ its constraint rows over them.  ``min_violation`` is the elastic LP
 behind the diagnoses: it finds which groups of rows (for instance the
 rows of one line) an infeasible program cannot satisfy.
 
-Infeasibility is certified with a phase-1 relaxation: minimize the
-uniform constraint violation t subject to Gx <= h + t; the problem is
-declared infeasible when the optimal t exceeds PHASE1_TOL (constraint
-rows are normalized to unit inf-norm, so t is a scaled violation).
+Infeasibility is detected, then certified.  The main IPM stops as
+soon as its dual iterates (y, z >= 0) lie along a Farkas ray, to
+FARKAS_EPS relative to ||(y, z)|| (inf-norms): ||A'y + G'z|| <=
+FARKAS_EPS ||(y, z)|| and b'y + h'z <= -FARKAS_EPS ||(y, z)||.  Such a
+ray proves that no x meets the constraints, and the dual iterates of
+an infeasible-start IPM diverge along one when none does.  Every main
+solve that ends neither optimal nor unbounded, at that stop or at the
+iteration limit, is then certified by a phase-1 relaxation: minimize
+the uniform constraint violation t subject to Gx <= h + t; the problem
+is declared infeasible only when the optimal t exceeds PHASE1_TOL
+(constraint rows are normalized to unit inf-norm, so t is a scaled
+violation).  The ``iterations`` of an INFEASIBLE solution count the
+main IPM's iterations up to its stop.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ PHASE1_TOL = 1e-7
 # Convergence tolerance and iteration limit of every solve.
 TOL = 1e-9
 MAX_ITER = 100
+# Relative tolerance of the Farkas-ray stop of the main IPM.
+FARKAS_EPS = 1e-6
 _REG = 1e-11
 _HUGE = 1e13
 # Q is checked for positive semidefiniteness by its eigenvalues only in
@@ -286,7 +297,7 @@ def solve(program: ConvexProgram) -> Solution:
         return _solve_equality_qp(q, c, a, b, x_eq)
 
     blocks = program.blocks
-    res = _ipm(q, c, a, b, g, h, x_eq, tol=TOL, max_iter=MAX_ITER, blocks=blocks)
+    res = _ipm(q, c, a, b, g, h, x_eq, tol=TOL, max_iter=MAX_ITER, blocks=blocks, farkas=True)
     if res.status is SolveStatus.OPTIMAL or res.status is SolveStatus.UNBOUNDED:
         return _finalize(res, program)
 
@@ -571,7 +582,10 @@ def _kkt(q, a, g, blocks, reg: float, shift: float):
 
 
 def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, blocks=(),
-         reg: float = _REG, shift: float = 0.0) -> _IpmResult:
+         reg: float = _REG, shift: float = 0.0, farkas: bool = False) -> _IpmResult:
+    """Primal-dual iterations from ``x0``.  With ``farkas`` they stop as
+    INFEASIBLE at a Farkas ray of the dual iterates; the main solve sets
+    it, the other callers solve programs already known to be feasible."""
     n = q.shape[0]
     me, mi = a.shape[0], g.shape[0]
     factor = _kkt(q, a, g, blocks, reg, shift)
@@ -618,6 +632,11 @@ def _ipm(q, c, a, b, g, h, x0, tol: float, max_iter: int, blocks=(),
             best = x.copy()
         if p_res <= tol * 10 and d_res <= tol * 10 and mu <= tol * (1.0 + abs(obj)):
             return _IpmResult(SolveStatus.OPTIMAL, x=x, iterations=it)
+        if farkas:
+            yz = max(np.abs(y).max(initial=0.0), z.max())
+            if (np.linalg.norm(rd - qx - c, np.inf) <= FARKAS_EPS * yz
+                    and b @ y + h @ z <= -FARKAS_EPS * yz):
+                return _IpmResult(SolveStatus.INFEASIBLE, iterations=it)
         if np.linalg.norm(x, np.inf) > _HUGE:
             if p_res <= 1e-6:
                 return _IpmResult(SolveStatus.UNBOUNDED, iterations=it)

@@ -75,6 +75,44 @@ def test_infeasible_general_rows():
         assert sol.status is SolveStatus.INFEASIBLE
 
 
+def slab(width, scale=1.0):
+    """min x1 + 2 x2 s.t. 1 - width <= x1 + x2 <= 1, x >= 0, cost times ``scale``;
+    empty for a negative width."""
+    return ConvexProgram(c=scale * np.array([1.0, 2.0]), g_ineq=[[1.0, 1.0], [-1.0, -1.0]],
+                         h_ineq=[1.0, width - 1.0], lb=[0.0, 0.0])
+
+
+# (width, cost scale, iterations, x) of feasible slabs, pinned: the
+# Farkas-ray stop must leave every feasible solve as it is.  The
+# cost-scaled 1e-8 slab ends on the best-iterate fallback.
+SLABS = [
+    (1e-3, 1.0, 7, [0.9990000000405238, 8.960402505355332e-14]),
+    (1e-6, 1.0, 7, [0.9999990000311464, 5.993441428459032e-14]),
+    (1e-8, 1.0, 6, [0.9999999901009206, 2.567742460111848e-14]),
+    (1e-3, 1e6, 12, [0.998999999628109, 5.72491952440779e-10]),
+    (1e-6, 1e6, 13, [0.999999000180638, 1.2491805541310365e-10]),
+    (1e-8, 1e6, 100, [0.9999999770073009, 2.2989251521055698e-08]),
+]
+
+
+@pytest.mark.parametrize("width, scale, iterations, x", SLABS)
+def test_thin_slab_solves_as_before(width, scale, iterations, x):
+    """A nearly empty but feasible slab never stops at a Farkas ray."""
+    sol, blk = solve_both_paths(slab(width, scale))
+    assert sol.optimal and blk.optimal
+    assert sol.iterations == blk.iterations == iterations
+    assert sol.x == pytest.approx(x, rel=1e-12, abs=1e-20)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("width", [-1e-6, -1e-3])
+def test_empty_slab_stops_at_farkas_ray(width, scale):
+    """The main IPM stops early on an empty slab; phase 1 still certifies it."""
+    for sol in solve_both_paths(slab(width, scale)):
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert sol.iterations < 30
+
+
 def test_inconsistent_equalities():
     prog = ConvexProgram(c=[0.0, 0.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0])
     for sol in solve_both_paths(prog):

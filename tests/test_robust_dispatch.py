@@ -260,7 +260,8 @@ def test_rts96_alpha_shifts_procurement(rts):
 
 
 def _highs_online_cost(g, ptdf, proc, delta_pu):
-    """Optimum of the online re-dispatch LP over every unit and every line, by HiGHS."""
+    """Optimum of the online re-dispatch LP over every unit and every line,
+    by HiGHS; None when that LP is infeasible."""
     ga = g.gen_arrays
     n = g.n_gens
     m_inc = g.gen_incidence()
@@ -279,6 +280,8 @@ def _highs_online_cost(g, ptdf, proc, delta_pu):
         bounds=np.column_stack([np.zeros(2 * n), np.concatenate([proc.delta_up, -proc.delta_dn])]),
         method="highs",
     )
+    if res.status == 2:     # infeasible: the realization is not covered
+        return None
     assert res.status == 0, res.message
     return res.fun
 
@@ -300,3 +303,27 @@ def test_rts96_online_cost_matches_highs(rts):
         if checked == 6:
             break
     assert checked == 6
+
+
+def test_rts96_uncovered_exactly_where_highs_finds_no_redispatch(rts):
+    """24h-forecast draws against the 3h alpha-0 plan, about 10% uncovered:
+    ``operate_online`` raises exactly where HiGHS finds the LP infeasible,
+    and elsewhere its cost is HiGHS's optimum."""
+    g, ptdf = rts
+    w3 = build_polytope(build_ellipsoid(load_forecast(bundled.forecast_path("3h")), 0.95),
+                        facets_per_2d_cycle=8)
+    proc = procure_vertex_robust(g, ptdf, w3, alpha=0.0)
+    f24 = load_forecast(bundled.forecast_path("24h"))
+    draws = np.random.default_rng(7).multivariate_normal(f24.mu, f24.sigma, size=120)
+    uncovered = action = 0
+    for delta in np.maximum(draws, 1e-6):
+        ref = _highs_online_cost(g, ptdf, proc, delta)
+        if ref is None:
+            with pytest.raises(UncoveredRealizationError):
+                operate_online(g, ptdf, proc, delta)
+            uncovered += 1
+            continue
+        cost = operate_online(g, ptdf, proc, delta).cost
+        assert cost == pytest.approx(ref, rel=1e-6)
+        action += cost > 0.0
+    assert uncovered >= 3 and action >= 3
